@@ -57,7 +57,9 @@ class Ckan : public models::RecommenderModel {
   autograd::Variable relation_emb_;  // (R + 1, d)
   std::unique_ptr<nn::Dense> att_hidden_;  // (3d -> d), LeakyReLU
   std::unique_ptr<nn::Dense> att_out_;     // (d -> 1)
-  Rng eval_rng_{0};
+  /// Seed for inference-time sampling; ScorePairs draws a fresh stream per
+  /// call, so identical calls on an identical model score identically.
+  uint64_t eval_seed_ = 0;
 };
 
 }  // namespace baselines

@@ -67,7 +67,7 @@ Status Kgat::Fit(const data::Dataset& dataset,
 
   const auto all_positives = dataset.BuildAllPositives();
   fitted_ = true;
-  eval_rng_ = Rng(options.seed ^ 0x6B6761740000EEEEULL);
+  eval_seed_ = options.seed ^ 0x6B6761740000EEEEULL;
 
   bool pretrain = false;  // epoch 1: BPRMF-style warm start
   models::ParallelTrainer trainer(options, &store_, &optimizer);
@@ -185,6 +185,7 @@ void Kgat::ScorePairs(const std::vector<int64_t>& users,
   CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
   CGKGR_CHECK(users.size() == items.size() && out != nullptr);
   autograd::NoGradGuard no_grad;
+  Rng rng(eval_seed_);
   out->resize(users.size());
   constexpr size_t kChunk = 1024;
   std::vector<int64_t> user_nodes;
@@ -195,8 +196,8 @@ void Kgat::ScorePairs(const std::vector<int64_t>& users,
     for (size_t i = begin; i < end; ++i) user_nodes.push_back(
         UserNode(users[i]));
     chunk_items.assign(items.begin() + begin, items.begin() + end);
-    Variable vu = Propagate(user_nodes, &eval_rng_);
-    Variable vi = Propagate(chunk_items, &eval_rng_);
+    Variable vu = Propagate(user_nodes, &rng);
+    Variable vi = Propagate(chunk_items, &rng);
     Variable scores = autograd::RowDot(vu, vi);
     for (size_t i = begin; i < end; ++i) {
       (*out)[i] = scores.value()[static_cast<int64_t>(i - begin)];
@@ -204,13 +205,13 @@ void Kgat::ScorePairs(const std::vector<int64_t>& users,
   }
 }
 
-// Persistence: every parameter in creation order, plus the eval RNG stream
-// under one named section (validated on load).
+// Persistence: every parameter in creation order under one named section
+// (validated on load). ScorePairs reseeds its sampling stream per call from
+// eval_seed_, so there is no stateful inference RNG to serialize.
 void Kgat::SaveState(ckpt::Writer* writer) const {
   CGKGR_CHECK_MSG(fitted_, "SaveState before Fit");
   writer->BeginSection("model/" + name());
   ckpt::WriteParameterStore(store_, writer);
-  ckpt::WriteRngState(eval_rng_, writer);
 }
 
 Status Kgat::LoadState(ckpt::Reader* reader) {
@@ -218,9 +219,7 @@ Status Kgat::LoadState(ckpt::Reader* reader) {
     return Status::InvalidArgument("LoadState before Fit/Prepare: " + name());
   }
   CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadParameterStore(reader, &store_));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadRngState(reader, &eval_rng_));
-  return Status::OK();
+  return ckpt::ReadParameterStore(reader, &store_);
 }
 
 }  // namespace baselines

@@ -69,7 +69,9 @@ class Kgat : public models::RecommenderModel {
   autograd::Variable relation_matrices_;  // (R + 2, d, d)
   std::vector<std::unique_ptr<nn::Dense>> w1_;  // bi-interaction, per hop
   std::vector<std::unique_ptr<nn::Dense>> w2_;
-  Rng eval_rng_{0};
+  /// Seed for inference-time sampling; ScorePairs draws a fresh stream per
+  /// call, so identical calls on an identical model score identically.
+  uint64_t eval_seed_ = 0;
 };
 
 }  // namespace baselines

@@ -51,7 +51,7 @@ Status Kgcn::Fit(const data::Dataset& dataset,
 
   const auto all_positives = dataset.BuildAllPositives();
   fitted_ = true;
-  eval_rng_ = Rng(options.seed ^ 0x6B67636E0000EEEEULL);
+  eval_seed_ = options.seed ^ 0x6B67636E0000EEEEULL;
 
   models::ParallelTrainer trainer(options, &store_, &optimizer);
   // ComputeBatchLoss is virtual: KGNN-LS rides this same loop with its
@@ -190,6 +190,7 @@ void Kgcn::ScorePairs(const std::vector<int64_t>& users,
   CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
   CGKGR_CHECK(users.size() == items.size() && out != nullptr);
   autograd::NoGradGuard no_grad;
+  Rng rng(eval_seed_);
   out->resize(users.size());
   constexpr size_t kChunk = 1024;
   std::vector<int64_t> chunk_users;
@@ -198,20 +199,20 @@ void Kgcn::ScorePairs(const std::vector<int64_t>& users,
     const size_t end = std::min(users.size(), begin + kChunk);
     chunk_users.assign(users.begin() + begin, users.begin() + end);
     chunk_items.assign(items.begin() + begin, items.begin() + end);
-    Variable scores = Forward(chunk_users, chunk_items, &eval_rng_, nullptr);
+    Variable scores = Forward(chunk_users, chunk_items, &rng, nullptr);
     for (size_t i = begin; i < end; ++i) {
       (*out)[i] = scores.value()[static_cast<int64_t>(i - begin)];
     }
   }
 }
 
-// Persistence: every parameter in creation order, plus the eval RNG stream
-// under one named section (validated on load).
+// Persistence: every parameter in creation order under one named section
+// (validated on load). ScorePairs reseeds its sampling stream per call from
+// eval_seed_, so there is no stateful inference RNG to serialize.
 void Kgcn::SaveState(ckpt::Writer* writer) const {
   CGKGR_CHECK_MSG(fitted_, "SaveState before Fit");
   writer->BeginSection("model/" + name());
   ckpt::WriteParameterStore(store_, writer);
-  ckpt::WriteRngState(eval_rng_, writer);
 }
 
 Status Kgcn::LoadState(ckpt::Reader* reader) {
@@ -219,9 +220,7 @@ Status Kgcn::LoadState(ckpt::Reader* reader) {
     return Status::InvalidArgument("LoadState before Fit/Prepare: " + name());
   }
   CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadParameterStore(reader, &store_));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadRngState(reader, &eval_rng_));
-  return Status::OK();
+  return ckpt::ReadParameterStore(reader, &store_);
 }
 
 }  // namespace baselines

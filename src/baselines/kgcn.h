@@ -60,7 +60,9 @@ class Kgcn : public models::RecommenderModel {
   std::unique_ptr<nn::EmbeddingTable> entity_table_;
   autograd::Variable relation_emb_;  // (R + 1, d)
   std::vector<std::unique_ptr<nn::Dense>> layers_;  // [0] = final hop
-  Rng eval_rng_{0};
+  /// Seed for inference-time sampling; ScorePairs draws a fresh stream per
+  /// call, so identical calls on an identical model score identically.
+  uint64_t eval_seed_ = 0;
 };
 
 }  // namespace baselines

@@ -1,9 +1,11 @@
 #include "core/cgkgr_model.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "autograd/ops.h"
 #include "common/macros.h"
+#include "common/thread_pool.h"
 #include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
 #include "ckpt/checkpoint.h"
@@ -16,6 +18,25 @@ namespace core {
 
 namespace {
 using autograd::Variable;
+
+/// Pairs per SampleBatch in ScorePairs (one batch per chunk and pass).
+constexpr int64_t kChunkRows = 1024;
+
+/// Rows per ScorePairs forward task. Like ParallelTrainer's kShardRows it
+/// never depends on the lane count, so the slice plan is the same at every
+/// num_threads; 64 rows keep a forward long enough to amortize dispatch
+/// while a 1,024-pair chunk still yields 16 tasks per pass.
+constexpr int64_t kSliceRows = 64;
+
+/// Rows [begin, end) of `values`, whose `rows` rows own equal contiguous
+/// blocks (an empty array stays empty).
+std::vector<int64_t> RowBlock(const std::vector<int64_t>& values,
+                              int64_t rows, int64_t begin, int64_t end) {
+  const int64_t width = static_cast<int64_t>(values.size()) / rows;
+  CGKGR_CHECK(width * rows == static_cast<int64_t>(values.size()));
+  return std::vector<int64_t>(values.begin() + begin * width,
+                              values.begin() + end * width);
+}
 }  // namespace
 
 CgKgrModel::CgKgrModel(CgKgrConfig config, std::string name)
@@ -87,6 +108,7 @@ Status CgKgrModel::Prepare(const data::Dataset& dataset, uint64_t seed) {
   }
   fitted_ = true;
   eval_seed_ = seed ^ 0x7777777777777777ULL;
+  score_lanes_ = 1;
   return Status::OK();
 }
 
@@ -124,6 +146,9 @@ Status CgKgrModel::LoadParameters(const std::string& path) {
 Status CgKgrModel::Fit(const data::Dataset& dataset,
                        const models::TrainOptions& options) {
   CGKGR_RETURN_NOT_OK(Prepare(dataset, options.seed));
+  // The training lanes also score: the per-epoch eval below, and every
+  // ScorePairs call after Fit.
+  score_lanes_ = options.num_threads;
 
   nn::AdamOptions adam;
   adam.learning_rate = config_.learning_rate;
@@ -185,6 +210,23 @@ CgKgrModel::BatchGraph CgKgrModel::SampleBatch(
         config_.sampling_strategy);
   }
   return batch;
+}
+
+CgKgrModel::BatchGraph CgKgrModel::SliceRows(const BatchGraph& batch,
+                                             int64_t begin, int64_t end) {
+  const int64_t rows = static_cast<int64_t>(batch.users.size());
+  BatchGraph slice;
+  slice.users = RowBlock(batch.users, rows, begin, end);
+  slice.items = RowBlock(batch.items, rows, begin, end);
+  slice.user_neighbors = RowBlock(batch.user_neighbors, rows, begin, end);
+  slice.item_neighbors = RowBlock(batch.item_neighbors, rows, begin, end);
+  for (size_t l = 0; l < batch.flow.entities.size(); ++l) {
+    slice.flow.entities.push_back(
+        RowBlock(batch.flow.entities[l], rows, begin, end));
+    slice.flow.relations.push_back(
+        RowBlock(batch.flow.relations[l], rows, begin, end));
+  }
+  return slice;
 }
 
 Variable CgKgrModel::InteractiveAttentionPool(const Variable& centers,
@@ -350,25 +392,47 @@ void CgKgrModel::ScorePairs(const std::vector<int64_t>& users,
                             std::vector<float>* out) {
   CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
   CGKGR_CHECK(users.size() == items.size() && out != nullptr);
-  autograd::NoGradGuard no_grad;
-  Rng rng(eval_seed_);
-  out->resize(users.size());
-  constexpr size_t kChunk = 1024;
-  std::vector<int64_t> chunk_users;
-  std::vector<int64_t> chunk_items;
+  const int64_t num_pairs = static_cast<int64_t>(users.size());
   const int64_t passes = std::max<int64_t>(1, config_.inference_samples);
   const float inv_passes = 1.0f / static_cast<float>(passes);
-  for (size_t begin = 0; begin < users.size(); begin += kChunk) {
-    const size_t end = std::min(users.size(), begin + kChunk);
-    chunk_users.assign(users.begin() + begin, users.begin() + end);
-    chunk_items.assign(items.begin() + begin, items.begin() + end);
-    for (size_t i = begin; i < end; ++i) (*out)[i] = 0.0f;
-    for (int64_t pass = 0; pass < passes; ++pass) {
-      BatchGraph batch = SampleBatch(chunk_users, chunk_items, &rng);
-      Variable scores = Forward(batch, nullptr);
-      for (size_t i = begin; i < end; ++i) {
-        (*out)[i] +=
-            inv_passes * scores.value()[static_cast<int64_t>(i - begin)];
+  out->assign(users.size(), 0.0f);
+  // The lanes live for this call only. Idle workers kept between calls
+  // would each pin a malloc arena holding their last forwards' memory.
+  ThreadPool pool(score_lanes_, "score");
+  Rng rng(eval_seed_);
+  std::vector<BatchGraph> samples(static_cast<size_t>(passes));
+  std::vector<std::vector<float>> pass_scores(static_cast<size_t>(passes));
+  for (int64_t begin = 0; begin < num_pairs; begin += kChunkRows) {
+    const int64_t rows = std::min(kChunkRows, num_pairs - begin);
+    // 1. Sample on this thread, chunk by chunk and pass by pass: the draws
+    //    from `rng` never depend on how the forwards are scheduled.
+    const std::vector<int64_t> chunk_users(users.begin() + begin,
+                                           users.begin() + begin + rows);
+    const std::vector<int64_t> chunk_items(items.begin() + begin,
+                                           items.begin() + begin + rows);
+    for (size_t pass = 0; pass < samples.size(); ++pass) {
+      samples[pass] = SampleBatch(chunk_users, chunk_items, &rng);
+      pass_scores[pass].resize(static_cast<size_t>(rows));
+    }
+    // 2. Forward fixed row slices of every pass on the score lanes. Each
+    //    forward kernel is per-row (docs/kernels.md), so a slice yields the
+    //    bits the whole chunk would.
+    const int64_t slices = (rows + kSliceRows - 1) / kSliceRows;
+    pool.ParallelForEach(0, passes * slices, 1, [&](int64_t task) {
+      autograd::NoGradGuard no_grad;  // grad mode is thread-local
+      const size_t pass = static_cast<size_t>(task / slices);
+      const int64_t slice_begin = task % slices * kSliceRows;
+      const int64_t slice_end = std::min(rows, slice_begin + kSliceRows);
+      const Variable scores =
+          Forward(SliceRows(samples[pass], slice_begin, slice_end), nullptr);
+      std::copy_n(scores.value().data(), slice_end - slice_begin,
+                  pass_scores[pass].begin() + slice_begin);
+    });
+    // 3. Average the passes in pass order.
+    for (const std::vector<float>& scores : pass_scores) {
+      for (int64_t r = 0; r < rows; ++r) {
+        (*out)[static_cast<size_t>(begin + r)] +=
+            inv_passes * scores[static_cast<size_t>(r)];
       }
     }
   }

@@ -38,9 +38,14 @@ class CgKgrModel : public models::RecommenderModel {
 
   std::string name() const override { return name_; }
 
+  /// Trains, then scores on options.num_threads lanes.
   Status Fit(const data::Dataset& dataset,
              const models::TrainOptions& options) override;
 
+  /// Samples every chunk and inference pass on the calling thread, then runs
+  /// the forwards as fixed 64-row slices on a pool of the lanes Fit was
+  /// given (inline after Prepare alone). Scores are bit-identical at any
+  /// lane count; see docs/parallel_training.md ("Parallel inference").
   void ScorePairs(const std::vector<int64_t>& users,
                   const std::vector<int64_t>& items,
                   std::vector<float>* out) override;
@@ -88,6 +93,12 @@ class CgKgrModel : public models::RecommenderModel {
   BatchGraph SampleBatch(const std::vector<int64_t>& users,
                          const std::vector<int64_t>& items, Rng* rng) const;
 
+  /// Rows [begin, end) of `batch`: row r owns entry r of users/items and
+  /// the contiguous block [r * w, (r + 1) * w) of every per-row array (w =
+  /// the sample size for the neighbor lists, K^l for node-flow hop l).
+  static BatchGraph SliceRows(const BatchGraph& batch, int64_t begin,
+                              int64_t end);
+
   /// Scores of the batch, shape (|users|). When `capture_hop1_attention` is
   /// non-null, the head-averaged hop-1 attention weights are written there.
   autograd::Variable Forward(const BatchGraph& batch,
@@ -131,6 +142,9 @@ class CgKgrModel : public models::RecommenderModel {
   /// Seed for inference-time sampling; ScorePairs draws a fresh stream per
   /// call, so identical calls on an identical model score identically.
   uint64_t eval_seed_ = 0;
+  /// Lanes for ScorePairs' forward slices: 1 (inline) after Prepare,
+  /// TrainOptions::num_threads after Fit.
+  int64_t score_lanes_ = 1;
 };
 
 }  // namespace core

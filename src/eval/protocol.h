@@ -36,12 +36,11 @@ struct TopKOptions {
   /// Concurrent lanes for the per-user candidate masking, ranking sort, and
   /// metric computation (common/thread_pool). All ScorePairs calls stay on
   /// the calling thread in the exact order of the sequential path — the
-  /// PairScorer contract does not require thread safety, and several models
-  /// advance an internal RNG per call — so results are bit-identical for
-  /// every value of this knob; 1 (the default) runs the historical fully
-  /// sequential code path. Values > 1 buffer each evaluated user's candidate
-  /// scores (O(evaluated_users x num_items) floats) until the parallel
-  /// ranking phase.
+  /// PairScorer contract does not require thread safety — so results are
+  /// bit-identical for every value of this knob; 1 (the default) runs the
+  /// historical fully sequential code path. Values > 1 buffer each
+  /// evaluated user's candidate scores (O(evaluated_users x num_items)
+  /// floats) until the parallel ranking phase.
   int64_t num_threads = 1;
 };
 

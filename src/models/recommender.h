@@ -77,8 +77,10 @@ struct TrainOptions {
   /// Lanes for the data-parallel trainer (models::ParallelTrainer): shards
   /// of each mini-batch run forward/backward concurrently, with a
   /// deterministic fixed-order gradient reduction before the Adam step.
-  /// Results are bit-identical for any value given the same seed; 1 runs
-  /// fully inline. See docs/parallel_training.md.
+  /// After Fit, the same lanes serve CG-KGR inference (its per-epoch eval
+  /// and every later ScorePairs call). Results are bit-identical for any
+  /// value given the same seed; 1 runs fully inline. See
+  /// docs/parallel_training.md.
   int64_t num_threads = 1;
   uint64_t seed = 1;
   EarlyStopMetric early_stop_metric = EarlyStopMetric::kAuc;

@@ -41,19 +41,15 @@ struct Snapshot {
 
 /// Knobs for BuildSnapshot.
 struct SnapshotBuildOptions {
-  /// Pairs scored per ScorePairs call (mirrors eval::TopKOptions). Scoring
-  /// always stays on the calling thread: PairScorer implementations are not
-  /// required to be thread-safe (several baselines advance a member RNG per
-  /// call), so snapshot export is a strictly sequential offline pass.
+  /// Pairs scored per ScorePairs call (mirrors eval::TopKOptions).
   int64_t chunk_size = 4096;
 };
 
-/// \deprecated Old spelling of SnapshotBuildOptions; kept for source
-/// compatibility with pre-redesign call sites.
-using BuildSnapshotOptions = SnapshotBuildOptions;
-
 /// Batch-scores every (user, item) pair of the dataset through the trained
-/// model and packages the result with train-split seen lists.
+/// model and packages the result with train-split seen lists. The
+/// ScorePairs calls are issued one at a time from the calling thread
+/// (PairScorer need not be thread-safe); a model may spread each call over
+/// its own lanes, as CG-KGR does with the lanes it was trained on.
 Snapshot BuildSnapshot(models::RecommenderModel* model,
                        const data::Dataset& dataset,
                        const SnapshotBuildOptions& options = {});

@@ -1,16 +1,22 @@
 // Tests for the CG-KGR core model: config parsing, every encoder /
 // aggregator / guidance-mode / depth variant trains and scores, learning
-// actually happens, attention inspection is normalized, and training is
-// deterministic per seed.
+// actually happens, attention inspection is normalized, training is
+// deterministic per seed, and scores do not depend on the lane count.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/cgkgr_config.h"
 #include "core/cgkgr_model.h"
 #include "data/synthetic.h"
 #include "eval/protocol.h"
+#include "serve/delta.h"
+#include "serve/snapshot.h"
 
 namespace cgkgr {
 namespace core {
@@ -275,6 +281,85 @@ TEST(CgKgrModelTest, DegreeBiasedSamplingTrains) {
   CgKgrModel model(config);
   ASSERT_TRUE(model.Fit(d, QuickTrain(4)).ok());
   EXPECT_GT(TestAuc(&model, d), 0.55);
+}
+
+// --- scoring is independent of the lane count ---
+
+/// Trains `config` at `lanes` (Fit sizes the scoring lanes too) and scores
+/// one 2,500-pair call: chunks of 1,024, 1,024 and 452 pairs, the last one
+/// ending in a ragged 4-row slice.
+std::vector<float> ScoreAtLanes(const CgKgrConfig& config,
+                                const data::Dataset& d, int64_t lanes) {
+  models::TrainOptions options = QuickTrain(2);
+  options.num_threads = lanes;
+  CgKgrModel model(config);
+  EXPECT_TRUE(model.Fit(d, options).ok());
+  std::vector<int64_t> users;
+  std::vector<int64_t> items;
+  for (int64_t p = 0; p < 2500; ++p) {
+    users.push_back(p % d.num_users);
+    items.push_back((p * 7 + p / d.num_users) % d.num_items);
+  }
+  std::vector<float> scores;
+  model.ScorePairs(users, items, &scores);
+  return scores;
+}
+
+TEST(ScoreLanesTest, ScoresBitIdenticalAcrossLaneCounts) {
+  const data::Dataset d = TestDataset();
+  std::vector<std::pair<std::string, CgKgrConfig>> variants;
+  variants.emplace_back("full", SmallModelConfig());
+  for (const int64_t depth : {0, 3}) {
+    CgKgrConfig config = SmallModelConfig();
+    config.depth = depth;
+    variants.emplace_back("depth " + std::to_string(depth), config);
+  }
+  CgKgrConfig no_ui = SmallModelConfig();
+  no_ui.use_interactive_summarization = false;
+  variants.emplace_back("w/o UI", no_ui);
+  CgKgrConfig no_att = SmallModelConfig();
+  no_att.use_knowledge_attention = false;
+  variants.emplace_back("w/o ATT", no_att);
+  for (const int64_t passes : {1, 3}) {
+    CgKgrConfig config = SmallModelConfig();
+    config.inference_samples = passes;
+    variants.emplace_back("passes " + std::to_string(passes), config);
+  }
+  CgKgrConfig biased = SmallModelConfig();
+  biased.sampling_strategy = graph::SamplingStrategy::kDegreeBiased;
+  variants.emplace_back("degree-biased", biased);
+
+  for (const auto& [name, config] : variants) {
+    const std::vector<float> serial = ScoreAtLanes(config, d, 1);
+    ASSERT_EQ(serial.size(), 2500u) << name;
+    for (const int64_t lanes : {2, 4}) {
+      const std::vector<float> parallel = ScoreAtLanes(config, d, lanes);
+      ASSERT_EQ(parallel.size(), serial.size()) << name;
+      int64_t mismatches = 0;
+      for (size_t i = 0; i < serial.size(); ++i) {
+        if (parallel[i] != serial[i] || !std::isfinite(parallel[i])) {
+          ++mismatches;
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << name << " at " << lanes << " lanes";
+    }
+  }
+}
+
+TEST(ScoreLanesTest, SnapshotReproducesSerialScoring) {
+  // The fingerprint the same body produced when ScorePairs was a serial
+  // per-chunk loop: the sliced, parallel rewrite scores the same bits.
+  constexpr uint64_t kSerialFingerprint = 17633019879161496249ULL;
+  const data::Dataset d = TestDataset();
+  for (const int64_t lanes : {1, 2, 4}) {
+    models::TrainOptions options = QuickTrain(3);
+    options.num_threads = lanes;
+    CgKgrModel model(SmallModelConfig());
+    ASSERT_TRUE(model.Fit(d, options).ok());
+    EXPECT_EQ(serve::SnapshotFingerprint(serve::BuildSnapshot(&model, d)),
+              kSerialFingerprint)
+        << lanes << " lanes";
+  }
 }
 
 // --- attention inspection (Fig. 5 machinery) ---

@@ -1,7 +1,8 @@
 // Tests for src/serve: snapshot save->load round-trip equality, Engine
 // Top-K agreement with brute-force model scoring, LRU cache eviction and
-// invalidation-on-reload, batch/single consistency, and the threaded
-// EvaluateTopK knob staying bit-identical.
+// invalidation-on-reload, batch/single consistency, snapshot rebuilds that
+// are bit-identical for every model, and the threaded EvaluateTopK knob
+// staying bit-identical.
 
 #include <gtest/gtest.h>
 
@@ -503,6 +504,44 @@ TEST(DeltaTest, BuildDeltaRejectsDimensionChanges) {
   EXPECT_EQ(BuildDelta(base, resized).status().code(),
             StatusCode::kInvalidArgument);
 }
+
+/// Every registry model scores as a pure function of the model and the
+/// ScorePairs call: rebuilding a snapshot from one trained model gives the
+/// same bits, so the delta between the two builds is empty.
+class RebuildSnapshotTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RebuildSnapshotTest, RebuildIsBitIdenticalAndDeltaIsEmpty) {
+  const data::Dataset dataset = SmallDataset();
+  data::PresetHyperParams hparams;
+  hparams.embedding_dim = 8;
+  hparams.depth = 2;
+  hparams.user_sample_size = 4;
+  hparams.item_sample_size = 3;
+  hparams.kg_sample_size = 3;
+  hparams.num_heads = 2;
+  auto model = models::CreateModel(GetParam(), hparams);
+  models::TrainOptions options;
+  options.max_epochs = 2;
+  options.patience = 100;
+  options.seed = 7;
+  ASSERT_TRUE(model->Fit(dataset, options).ok());
+  const Snapshot first = BuildSnapshot(model.get(), dataset);
+  const Snapshot second = BuildSnapshot(model.get(), dataset);
+  ASSERT_EQ(first.scores.size(), second.scores.size());
+  int64_t changed = 0;
+  for (size_t i = 0; i < first.scores.size(); ++i) {
+    if (first.scores[i] != second.scores[i]) ++changed;
+  }
+  EXPECT_EQ(changed, 0) << GetParam();
+  EXPECT_EQ(SnapshotFingerprint(first), SnapshotFingerprint(second));
+  Result<SnapshotDelta> delta = BuildDelta(first, second);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  EXPECT_TRUE(delta.value().rows.empty())
+      << GetParam() << ": " << delta.value().rows.size() << " users changed";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, RebuildSnapshotTest,
+                         ::testing::ValuesIn(models::AllModelNames()));
 
 TEST(DeltaTest, SaveLoadRoundTripAndCorruptionRejection) {
   const Snapshot base = TinySnapshot();

@@ -14,7 +14,9 @@
 #      check locally — CI images with clang get the full analysis).
 #   3. Sanitizer runs, opt-in because each configure+build takes minutes:
 #        CGKGR_CHECK_TSAN=1  ThreadSanitizer over the concurrency-heavy
-#                            tests (thread_pool_test, trainer_test).
+#                            tests (thread_pool_test, trainer_test, and
+#                            cgkgr_model_test + serve_test, whose CG-KGR
+#                            scoring runs forwards on parallel lanes).
 #        CGKGR_CHECK_ASAN=1  AddressSanitizer over the memory-heavy tests
 #                            (tensor_test, autograd_test, ckpt_test).
 #        CGKGR_CHECK_UBSAN=1 UndefinedBehaviorSanitizer over the numeric
@@ -99,7 +101,7 @@ run_sanitizer() {
 
 if [ "${CGKGR_CHECK_TSAN:-0}" = "1" ]; then
   run_sanitizer ThreadSanitizer thread build-tsan \
-    thread_pool_test trainer_test
+    thread_pool_test trainer_test cgkgr_model_test serve_test
 else
   echo "== ThreadSanitizer: SKIPPED (set CGKGR_CHECK_TSAN=1 to enable) =="
 fi
