@@ -28,6 +28,5 @@
 #include "eval/wilcoxon.h"         // IWYU pragma: export
 #include "models/recommender.h"    // IWYU pragma: export
 #include "models/registry.h"       // IWYU pragma: export
-#include "nn/serialize.h"          // IWYU pragma: export
 
 #endif  // CGKGR_CGKGR_H_

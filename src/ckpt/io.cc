@@ -325,6 +325,9 @@ Status Reader::ReadRaw(void* out, size_t size, const char* what) {
         "%s: truncated record: %zu bytes left at offset %zu, %s needs %zu",
         origin_.c_str(), payload_.size() - pos_, pos_, what, size));
   }
+  // An empty vector's data() may be null, and memcpy to null is UB even for
+  // zero bytes.
+  if (size == 0) return Status::OK();
   std::memcpy(out, payload_.data() + pos_, size);
   pos_ += size;
   return Status::OK();

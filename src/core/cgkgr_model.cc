@@ -129,20 +129,6 @@ Status CgKgrModel::LoadState(ckpt::Reader* reader) {
   return ckpt::ReadParameterStore(reader, &store_);
 }
 
-Status CgKgrModel::SaveParameters(const std::string& path) const {
-  if (!fitted_) {
-    return Status::InvalidArgument("SaveParameters before Prepare/Fit");
-  }
-  return models::SaveModelState(*this, path);
-}
-
-Status CgKgrModel::LoadParameters(const std::string& path) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadParameters before Prepare/Fit");
-  }
-  return models::LoadModelState(this, path);
-}
-
 Status CgKgrModel::Fit(const data::Dataset& dataset,
                        const models::TrainOptions& options) {
   CGKGR_RETURN_NOT_OK(Prepare(dataset, options.seed));

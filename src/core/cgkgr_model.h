@@ -60,12 +60,6 @@ class CgKgrModel : public models::RecommenderModel {
   /// without retraining.
   Status Prepare(const data::Dataset& dataset, uint64_t seed);
 
-  /// Deprecated: thin wrapper over models::SaveModelState(*this, path).
-  Status SaveParameters(const std::string& path) const;
-
-  /// Deprecated: thin wrapper over models::LoadModelState(this, path).
-  Status LoadParameters(const std::string& path);
-
   /// The configuration this model was built with.
   const CgKgrConfig& config() const { return config_; }
 

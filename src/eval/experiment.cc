@@ -32,18 +32,6 @@ const std::vector<double>& TrialAggregator::Samples(
   return metric_it->second;
 }
 
-std::vector<std::string> TrialAggregator::MetricNames(
-    const std::string& row) const {
-  std::vector<std::string> names;
-  auto row_it = data_.find(row);
-  if (row_it == data_.end()) return names;
-  names.reserve(row_it->second.size());
-  for (const auto& [metric, samples] : row_it->second) {
-    names.push_back(metric);
-  }
-  return names;
-}
-
 std::string TrialAggregator::BestRowExcept(const std::string& metric,
                                            const std::string& exclude) const {
   std::string best;
@@ -77,12 +65,6 @@ void TrialAggregator::WriteJsonl(obs::JsonlSink* sink) const {
 
 std::string FormatMeanStd(const MeanStd& value, double scale) {
   return StrFormat("%.2f +/- %.2f", value.mean * scale, value.std * scale);
-}
-
-std::string FormatGain(double ours, double best_other) {
-  if (best_other == 0.0) return "n/a";
-  const double gain = (ours - best_other) / best_other * 100.0;
-  return StrFormat("%+.2f%%", gain);
 }
 
 }  // namespace eval

@@ -29,11 +29,6 @@ class TrialAggregator {
   /// Rows in insertion order.
   const std::vector<std::string>& rows() const { return row_order_; }
 
-  /// Metric names recorded under `row`, in name order (empty when the row
-  /// is unknown). Lets generic exporters — the unified bench-artifact
-  /// writer in bench/bench_common.h — walk every (row, metric) pair.
-  std::vector<std::string> MetricNames(const std::string& row) const;
-
   /// Row (other than `exclude`) with the highest mean of `metric`.
   /// Returns an empty string if there are no other rows.
   std::string BestRowExcept(const std::string& metric,
@@ -53,10 +48,6 @@ class TrialAggregator {
 /// Formats mean +/- std as the paper does, e.g. "21.62 +/- 3.67" with values
 /// multiplied by `scale` (100 for percentages).
 std::string FormatMeanStd(const MeanStd& value, double scale = 100.0);
-
-/// Formats the relative gain of `ours` over `best_other` as a signed
-/// percentage, e.g. "+4.04%".
-std::string FormatGain(double ours, double best_other);
 
 }  // namespace eval
 }  // namespace cgkgr

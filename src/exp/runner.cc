@@ -113,16 +113,5 @@ Result<obs::Json> RunSpec(const ExperimentSpec& spec,
   return artifact;
 }
 
-Result<std::string> RunSpecToDir(const ExperimentSpec& spec,
-                                 const RunnerOptions& options,
-                                 const std::string& out_dir, bool overwrite) {
-  Result<obs::Json> artifact = RunSpec(spec, options);
-  if (!artifact.ok()) return artifact.status();
-  CGKGR_RETURN_NOT_OK(EnsureDirectory(out_dir));
-  const std::string path = out_dir + "/" + ArtifactFileName(spec.name);
-  CGKGR_RETURN_NOT_OK(WriteArtifact(artifact.value(), path, overwrite));
-  return path;
-}
-
 }  // namespace exp
 }  // namespace cgkgr

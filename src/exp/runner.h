@@ -17,8 +17,7 @@ namespace exp {
 /// The unified experiment runner: executes an ExperimentSpec case by case
 /// (sampling obs::ProcessStats at every case boundary) and assembles one
 /// schema-v1 artifact with per-case rows, the process section, and the
-/// embedded MetricsRegistry dump. bench/cgkgr_bench.cc is the CLI driver;
-/// the migrated bench binaries call RunCase directly for their sweeps.
+/// embedded MetricsRegistry dump. bench/cgkgr_bench.cc is the CLI driver.
 
 struct RunnerOptions {
   /// Overrides the spec's base seed when non-zero.
@@ -44,13 +43,6 @@ Status RunCase(const CaseSpec& spec, uint64_t seed,
 /// document (header, rows, process section, metrics dump).
 Result<obs::Json> RunSpec(const ExperimentSpec& spec,
                           const RunnerOptions& options = {});
-
-/// RunSpec, then atomically publishes BENCH_<spec.name>.json under
-/// `out_dir` (created when missing). Refuses to overwrite an existing
-/// artifact unless `overwrite`. Returns the written path.
-Result<std::string> RunSpecToDir(const ExperimentSpec& spec,
-                                 const RunnerOptions& options,
-                                 const std::string& out_dir, bool overwrite);
 
 /// Creates `dir` (and parents) when missing; OK when it already exists.
 Status EnsureDirectory(const std::string& dir);

@@ -22,9 +22,15 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "core/cgkgr_config.h"
+#include "core/cgkgr_model.h"
+#include "data/corruption.h"
 #include "data/dataset.h"
 #include "data/presets.h"
 #include "data/synthetic.h"
+#include "eval/experiment.h"
+#include "eval/protocol.h"
+#include "eval/wilcoxon.h"
 #include "exp/artifact.h"
 #include "exp/runner.h"
 #include "exp/spec.h"
@@ -169,7 +175,7 @@ Status RunTrainCase(const CaseSpec& spec, uint64_t seed,
 
 /// serve: trains once per trial, freezes a snapshot, then sweeps
 /// cache x threads over one fixed zipf-skewed request stream (half the
-/// traffic on ~1/16 of users) through Engine::TopKBatch.
+/// traffic on ~1/16 of users) through Engine::HandleBatch.
 Status RunServeCase(const CaseSpec& spec, uint64_t seed,
                     const RunnerOptions& options,
                     std::vector<CaseResult>* rows) {
@@ -556,10 +562,9 @@ Status RunCkptCase(const CaseSpec& spec, uint64_t seed,
 }
 
 // --- micro_ops kernels -----------------------------------------------------
-// Fixed-shape versions of the substrate microbenchmarks (formerly the
-// Google Benchmark bench_micro_ops). Each kernel runs `iters` timed
-// iterations after one untimed warmup and reports items/sec plus per-
-// iteration latency. The returned checksum defeats dead-code elimination
+// Fixed-shape microbenchmarks of the substrate kernels. Each kernel runs
+// `iters` timed iterations after one untimed warmup and reports items/sec
+// plus per-iteration latency. The returned checksum defeats dead-code elimination
 // and doubles as a determinism witness (recorded informationally).
 
 tensor::Tensor RandomTensor(std::vector<int64_t> shape, uint64_t seed) {
@@ -870,6 +875,220 @@ Status RunMicroOpsCase(const CaseSpec& spec, uint64_t seed,
   return Status::OK();
 }
 
+// --- quality ---------------------------------------------------------------
+// The loop every paper table shares: preset -> trial dataset (optionally
+// KG-corrupted) -> each variant's Fit -> EvaluateTopK / EvaluateCtr on the
+// test split -> eval::TrialAggregator. Seeds follow the historical per-table
+// binaries, so a table spec reproduces their numbers exactly.
+
+/// Top-K cutoffs of Fig. 4; Recall@20 is Table IV's headline metric.
+constexpr int64_t kTopKCutoffs[] = {1, 5, 10, 20, 50, 100};
+
+/// Users sampled per Top-K evaluation.
+constexpr int64_t kQualityEvalUsers = 100;
+
+/// Per-user mask of train+eval positives: what full-ranking test-split
+/// evaluation excludes from the candidate set.
+std::vector<std::vector<int64_t>> TestMask(const data::Dataset& dataset) {
+  auto mask = dataset.BuildTrainPositives();
+  const auto eval_pos =
+      data::Dataset::BuildPositives(dataset.eval, dataset.num_users);
+  for (int64_t u = 0; u < dataset.num_users; ++u) {
+    auto& m = mask[static_cast<size_t>(u)];
+    m.insert(m.end(), eval_pos[static_cast<size_t>(u)].begin(),
+             eval_pos[static_cast<size_t>(u)].end());
+    std::sort(m.begin(), m.end());
+  }
+  return mask;
+}
+
+Result<std::unique_ptr<models::RecommenderModel>> CreateVariant(
+    const VariantSpec& variant, const data::PresetHyperParams& hparams) {
+  if (variant.config.members().empty()) {
+    return models::CreateModel(variant.model, hparams);
+  }
+  core::CgKgrConfig config = core::CgKgrConfig::FromPreset(hparams);
+  CGKGR_RETURN_NOT_OK(ApplyCgKgrOverrides(variant.config, &config));
+  std::unique_ptr<models::RecommenderModel> model =
+      std::make_unique<core::CgKgrModel>(config, variant.label);
+  return model;
+}
+
+/// Fits `variant` on `dataset` with the preset's schedule, early-stopping on
+/// Recall@20 (topk) or AUC (ctr), and records its test-split metrics plus
+/// seconds_per_epoch and best_epoch in `agg` under the variant's label.
+/// `mask` is TestMask(dataset) for topk and unused for ctr.
+Status FitAndEvaluate(const VariantSpec& variant, const data::Preset& preset,
+                      int64_t epochs, bool topk, uint64_t train_seed,
+                      const data::Dataset& dataset,
+                      const std::vector<std::vector<int64_t>>& mask,
+                      eval::TrialAggregator* agg) {
+  Result<std::unique_ptr<models::RecommenderModel>> created =
+      CreateVariant(variant, preset.hparams);
+  CGKGR_RETURN_NOT_OK(created.status());
+  models::RecommenderModel* model = created.value().get();
+  models::TrainOptions train;
+  train.max_epochs = epochs;
+  train.patience = preset.hparams.patience;
+  train.batch_size = preset.hparams.batch_size;
+  train.seed = train_seed;
+  train.early_stop_metric = topk ? models::EarlyStopMetric::kRecallAt20
+                                 : models::EarlyStopMetric::kAuc;
+  train.run_label = variant.label;
+  CGKGR_RETURN_NOT_OK(model->Fit(dataset, train));
+
+  const std::string& label = variant.label;
+  if (topk) {
+    eval::TopKOptions options;
+    options.ks.assign(std::begin(kTopKCutoffs), std::end(kTopKCutoffs));
+    options.max_users = kQualityEvalUsers;
+    options.user_sample_seed = train_seed ^ 0x55AA55AA55AA55AAULL;
+    const eval::TopKResult result =
+        eval::EvaluateTopK(model, dataset, dataset.test, mask, options);
+    for (const int64_t k : kTopKCutoffs) {
+      const std::string at = StrFormat("@%lld", static_cast<long long>(k));
+      agg->Add(label, "recall" + at, result.recall.at(k));
+      agg->Add(label, "ndcg" + at, result.ndcg.at(k));
+    }
+  } else {
+    Rng ctr_rng(train_seed ^ 0x1234123412341234ULL);
+    const eval::CtrResult result = eval::EvaluateCtr(
+        model, data::MakeCtrExamples(dataset.test, dataset.BuildAllPositives(),
+                                     dataset.num_items, &ctr_rng));
+    agg->Add(label, "auc", result.auc);
+    agg->Add(label, "f1", result.f1);
+  }
+  agg->Add(label, "seconds_per_epoch", model->train_stats().seconds_per_epoch);
+  agg->Add(label, "best_epoch",
+           static_cast<double>(model->train_stats().best_epoch));
+  return Status::OK();
+}
+
+/// quality: for each dataset, trial, corruption ratio and variant,
+/// FitAndEvaluate. One row per (dataset, ratio, variant) carries each
+/// metric's mean plus <metric>_std / <metric>_n; the CG-KGR row also carries
+/// its <metric>_gain over the best other row on the protocol's headline
+/// metrics and, with two or more trials, the Wilcoxon p-value.
+Status RunQualityCase(const CaseSpec& spec, uint64_t seed,
+                      const RunnerOptions& options,
+                      std::vector<CaseResult>* rows) {
+  const bool topk = spec.protocol == "topk";
+  std::vector<std::string> metric_names;
+  if (topk) {
+    for (const char* family : {"recall", "ndcg"}) {
+      for (const int64_t k : kTopKCutoffs) {
+        metric_names.push_back(StrFormat("%s@%lld", family,
+                                         static_cast<long long>(k)));
+      }
+    }
+  } else {
+    metric_names = {"auc", "f1"};
+  }
+  metric_names.push_back("seconds_per_epoch");
+  metric_names.push_back("best_epoch");
+  // The gain columns: Table IV's Recall@20 / NDCG@20, Table V's AUC / F1.
+  const std::vector<std::string> gain_metrics =
+      topk ? std::vector<std::string>{"recall@20", "ndcg@20"}
+           : std::vector<std::string>{"auc", "f1"};
+
+  const std::vector<std::string> datasets =
+      spec.datasets.empty() ? std::vector<std::string>{spec.dataset}
+                            : spec.datasets;
+  // Without ratios the KG stays clean: one pass, never corrupted.
+  const bool corrupt = !spec.ratios.empty();
+  const std::vector<double> ratios =
+      corrupt ? spec.ratios : std::vector<double>{0.0};
+  for (const std::string& dataset_name : datasets) {
+    const data::Preset preset = data::GetPreset(dataset_name, spec.scale);
+    const int64_t epochs =
+        spec.epochs > 0 ? spec.epochs : preset.hparams.max_epochs;
+    std::vector<eval::TrialAggregator> aggregators(ratios.size());
+    for (int64_t trial = 0; trial < spec.trials; ++trial) {
+      const data::Dataset clean =
+          data::GenerateSyntheticDataset(preset.data, TrialSeed(seed, trial));
+      const uint64_t train_seed =
+          seed + 1000003ULL * static_cast<uint64_t>(trial + 1);
+      for (size_t r = 0; r < ratios.size(); ++r) {
+        data::Dataset corrupted;
+        if (corrupt) {
+          Rng corrupt_rng(seed + 31ULL * static_cast<uint64_t>(trial) +
+                          static_cast<uint64_t>(ratios[r] * 1000.0));
+          corrupted =
+              data::CorruptKnowledgeGraph(clean, ratios[r], &corrupt_rng);
+        }
+        const data::Dataset& dataset = corrupt ? corrupted : clean;
+        const std::vector<std::vector<int64_t>> mask =
+            topk ? TestMask(dataset) : std::vector<std::vector<int64_t>>();
+        for (const VariantSpec& variant : spec.variants) {
+          CGKGR_RETURN_NOT_OK(FitAndEvaluate(variant, preset, epochs, topk,
+                                             train_seed, dataset, mask,
+                                             &aggregators[r]));
+          if (options.verbose) {
+            CGKGR_LOG(Info) << "exp.quality " << Kv("dataset", dataset_name)
+                            << Kv("trial", trial) << Kv("ratio", ratios[r])
+                            << Kv("variant", variant.label);
+          }
+        }
+      }
+    }
+
+    for (size_t r = 0; r < ratios.size(); ++r) {
+      const eval::TrialAggregator& agg = aggregators[r];
+      const std::string second = agg.BestRowExcept(gain_metrics[0], "CG-KGR");
+      for (const VariantSpec& variant : spec.variants) {
+        const std::string& label = variant.label;
+        CaseResult row;
+        row.label = "quality/" + spec.protocol + "/" + dataset_name +
+                    (corrupt ? StrFormat("/r%.0f", ratios[r] * 100.0)
+                             : std::string()) +
+                    "/" + label;
+        row.scenario = "quality";
+        row.params.Set("protocol", obs::Json::Str(spec.protocol));
+        row.params.Set("dataset", obs::Json::Str(dataset_name));
+        row.params.Set("scale", obs::Json::Double(spec.scale));
+        if (corrupt) row.params.Set("ratio", obs::Json::Double(ratios[r]));
+        row.params.Set("variant", obs::Json::Str(label));
+        row.params.Set("model", obs::Json::Str(variant.model));
+        if (!variant.config.members().empty()) {
+          row.params.Set("config", variant.config);
+        }
+        row.params.Set("trials", obs::Json::Int(spec.trials));
+        row.params.Set("epochs", obs::Json::Int(epochs));
+        for (const std::string& metric : metric_names) {
+          const eval::MeanStd summary = agg.Summary(label, metric);
+          row.metrics.Set(metric, obs::Json::Double(summary.mean));
+          row.metrics.Set(metric + "_std", obs::Json::Double(summary.std));
+          row.metrics.Set(metric + "_n",
+                          obs::Json::Int(static_cast<int64_t>(
+                              agg.Samples(label, metric).size())));
+        }
+        if (label == "CG-KGR" && !second.empty()) {
+          row.params.Set("gain_vs", obs::Json::Str(second));
+          for (const std::string& metric : gain_metrics) {
+            const double other = agg.Summary(second, metric).mean;
+            if (other == 0.0) continue;
+            row.metrics.Set(
+                metric + "_gain",
+                obs::Json::Double((agg.Summary(label, metric).mean - other) /
+                                  other));
+          }
+          if (spec.trials >= 2) {
+            row.metrics.Set(
+                gain_metrics[0] + "_p_value",
+                obs::Json::Double(
+                    eval::WilcoxonSignedRank(
+                        agg.Samples(label, gain_metrics[0]),
+                        agg.Samples(second, gain_metrics[0]))
+                        .p_value));
+          }
+        }
+        rows->push_back(std::move(row));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::vector<std::string> MicroKernelNames() {
@@ -895,6 +1114,9 @@ Status RunCase(const CaseSpec& spec, uint64_t seed,
   }
   if (spec.scenario == "micro_ops") {
     return RunMicroOpsCase(spec, seed, options, rows);
+  }
+  if (spec.scenario == "quality") {
+    return RunQualityCase(spec, seed, options, rows);
   }
   return Status::InvalidArgument("unknown scenario \"" + spec.scenario +
                                  "\"");

@@ -1,6 +1,7 @@
 #include "exp/spec.h"
 
 #include <algorithm>
+#include <set>
 
 #include "ckpt/io.h"
 #include "common/macros.h"
@@ -94,18 +95,102 @@ Status ReadStringList(const obs::Json& value, const std::string& key,
   return Status::OK();
 }
 
+/// Reads a number array field that also accepts a bare number.
+Status ReadDoubleList(const obs::Json& value, const std::string& key,
+                      std::vector<double>* out) {
+  out->clear();
+  if (value.is_number()) {
+    out->push_back(value.AsDouble());
+    return Status::OK();
+  }
+  if (!value.is_array()) {
+    return Status::InvalidArgument("\"" + key +
+                                   "\" must be a number or number array");
+  }
+  for (const obs::Json& item : value.items()) {
+    if (!item.is_number()) {
+      return Status::InvalidArgument("\"" + key +
+                                     "\" entries must be numbers");
+    }
+    out->push_back(item.AsDouble());
+  }
+  if (out->empty()) {
+    return Status::InvalidArgument("\"" + key + "\" must not be empty");
+  }
+  return Status::OK();
+}
+
+/// Reads one quality variant: a registry model name, or an object with
+/// "model", an optional "label" (default: the model) and optional CG-KGR
+/// "config" overrides, which are validated here.
+Status ReadVariant(const obs::Json& value, VariantSpec* out) {
+  if (value.is_string()) {
+    out->model = value.AsString();
+  } else if (value.is_object()) {
+    for (const auto& [key, field] : value.members()) {
+      if (key == "model" || key == "label") {
+        if (!field.is_string()) {
+          return Status::InvalidArgument("variant \"" + key +
+                                         "\" must be a string");
+        }
+        (key == "model" ? out->model : out->label) = field.AsString();
+      } else if (key == "config") {
+        if (!field.is_object()) {
+          return Status::InvalidArgument(
+              "variant \"config\" must be an object");
+        }
+        out->config = field;
+      } else {
+        return Status::InvalidArgument("variant: unknown key \"" + key +
+                                       "\"");
+      }
+    }
+  } else {
+    return Status::InvalidArgument(
+        "\"variants\" entries must be model names or objects");
+  }
+  if (!Contains(models::AllModelNames(), out->model)) {
+    return Status::InvalidArgument(
+        "unknown variant model \"" + out->model + "\" (want one of: " +
+        Join(models::AllModelNames(), ", ") + ")");
+  }
+  if (out->label.empty()) out->label = out->model;
+  if (out->config.members().empty()) return Status::OK();
+  if (out->model != "CG-KGR") {
+    return Status::InvalidArgument("variant \"" + out->label +
+                                   "\": config overrides need CG-KGR");
+  }
+  core::CgKgrConfig probe;
+  const Status status = ApplyCgKgrOverrides(out->config, &probe);
+  if (!status.ok()) {
+    return Status::InvalidArgument("variant \"" + out->label +
+                                   "\": " + status.message());
+  }
+  return Status::OK();
+}
+
 Status ParseCase(const obs::Json& json, size_t index, CaseSpec* out) {
   if (!json.is_object()) {
     return CaseError(index, "must be a JSON object");
   }
+  bool preset_epochs = false;
   for (const auto& [key, value] : json.members()) {
-    if (key == "scenario" || key == "model" || key == "dataset") {
+    if (key == "scenario" || key == "model" || key == "dataset" ||
+        key == "protocol") {
       if (!value.is_string()) {
         return CaseError(index, "\"" + key + "\" must be a string");
       }
       if (key == "scenario") out->scenario = value.AsString();
       if (key == "model") out->model = value.AsString();
       if (key == "dataset") out->dataset = value.AsString();
+      if (key == "protocol") out->protocol = value.AsString();
+    } else if (key == "epochs" && value.is_string()) {
+      if (value.AsString() != "preset") {
+        return CaseError(index,
+                         "\"epochs\" must be an integer or \"preset\"");
+      }
+      out->epochs = 0;
+      preset_epochs = true;
     } else if (key == "scale") {
       if (!value.is_number()) {
         return CaseError(index, "\"scale\" must be a number");
@@ -138,6 +223,21 @@ Status ParseCase(const obs::Json& json, size_t index, CaseSpec* out) {
       CGKGR_RETURN_NOT_OK(ReadStringList(value, key, &out->kernels));
     } else if (key == "reloads") {
       CGKGR_RETURN_NOT_OK(ReadStringList(value, key, &out->reloads));
+    } else if (key == "datasets") {
+      CGKGR_RETURN_NOT_OK(ReadStringList(value, key, &out->datasets));
+    } else if (key == "ratios") {
+      CGKGR_RETURN_NOT_OK(ReadDoubleList(value, key, &out->ratios));
+    } else if (key == "variants") {
+      if (!value.is_array()) {
+        return CaseError(index, "\"variants\" must be an array");
+      }
+      out->variants.clear();
+      for (const obs::Json& item : value.items()) {
+        VariantSpec variant;
+        const Status status = ReadVariant(item, &variant);
+        if (!status.ok()) return CaseError(index, status.message());
+        out->variants.push_back(std::move(variant));
+      }
     } else {
       return CaseError(index, "unknown key \"" + key + "\"");
     }
@@ -166,7 +266,13 @@ Status ParseCase(const obs::Json& json, size_t index, CaseSpec* out) {
     return CaseError(index, "\"scale\" must be > 0");
   }
   if (out->trials < 1) return CaseError(index, "\"trials\" must be >= 1");
-  if (out->epochs < 1) return CaseError(index, "\"epochs\" must be >= 1");
+  if (preset_epochs && out->scenario != "quality") {
+    return CaseError(index,
+                     "only the quality scenario takes \"epochs\": \"preset\"");
+  }
+  if (out->epochs < 1 && !preset_epochs) {
+    return CaseError(index, "\"epochs\" must be >= 1");
+  }
   if (out->queries < 1) return CaseError(index, "\"queries\" must be >= 1");
   if (out->batch < 1) return CaseError(index, "\"batch\" must be >= 1");
   if (out->k < 1) return CaseError(index, "\"k\" must be >= 1");
@@ -202,6 +308,34 @@ Status ParseCase(const obs::Json& json, size_t index, CaseSpec* out) {
       }
     }
   }
+  if (out->scenario == "quality") {
+    for (const std::string& dataset : out->datasets) {
+      if (!Contains(data::PresetNames(), dataset)) {
+        return CaseError(index, "unknown dataset \"" + dataset +
+                                    "\" (want one of: " +
+                                    Join(data::PresetNames(), ", ") + ")");
+      }
+    }
+    if (out->protocol != "topk" && out->protocol != "ctr") {
+      return CaseError(index, "unknown protocol \"" + out->protocol +
+                                  "\" (want topk or ctr)");
+    }
+    for (const double ratio : out->ratios) {
+      if (!(ratio >= 0.0 && ratio < 1.0)) {
+        return CaseError(index, "\"ratios\" entries must be in [0, 1)");
+      }
+    }
+    if (out->variants.empty()) {
+      return CaseError(index, "quality needs a non-empty \"variants\" list");
+    }
+    std::set<std::string> labels;
+    for (const VariantSpec& variant : out->variants) {
+      if (!labels.insert(variant.label).second) {
+        return CaseError(index, "duplicate variant label \"" +
+                                    variant.label + "\"");
+      }
+    }
+  }
   return Status::OK();
 }
 
@@ -219,7 +353,77 @@ bool ValidSpecName(const std::string& name) {
 }  // namespace
 
 std::vector<std::string> ScenarioNames() {
-  return {"train", "serve", "serve_frontend", "ckpt", "micro_ops"};
+  return {"train", "serve", "serve_frontend", "ckpt", "micro_ops", "quality"};
+}
+
+Status ApplyCgKgrOverrides(const obs::Json& overrides,
+                           core::CgKgrConfig* config) {
+  if (!overrides.is_object()) {
+    return Status::InvalidArgument("CG-KGR overrides must be an object");
+  }
+  for (const auto& [key, value] : overrides.members()) {
+    const std::string where = "override \"" + key + "\"";
+    if (key == "depth") {
+      if (!value.is_int() || value.AsInt() < 0) {
+        return Status::InvalidArgument(where + " must be an integer >= 0");
+      }
+      config->depth = value.AsInt();
+    } else if (key == "use_interactive_summarization" ||
+               key == "use_knowledge_attention" ||
+               key == "use_collaborative_guidance") {
+      if (!value.is_bool()) {
+        return Status::InvalidArgument(where + " must be a bool");
+      }
+      if (key == "use_interactive_summarization") {
+        config->use_interactive_summarization = value.AsBool();
+      }
+      if (key == "use_knowledge_attention") {
+        config->use_knowledge_attention = value.AsBool();
+      }
+      if (key == "use_collaborative_guidance") {
+        config->use_collaborative_guidance = value.AsBool();
+      }
+    } else if (key == "encoder" || key == "aggregator" ||
+               key == "guidance_mode" || key == "sampling_strategy") {
+      if (!value.is_string()) {
+        return Status::InvalidArgument(where + " must be a string");
+      }
+      const std::string& name = value.AsString();
+      if (key == "encoder") {
+        Result<core::EncoderType> encoder = core::ParseEncoder(name);
+        CGKGR_RETURN_NOT_OK(encoder.status());
+        config->encoder = encoder.value();
+      } else if (key == "aggregator") {
+        Result<core::AggregatorType> aggregator = core::ParseAggregator(name);
+        CGKGR_RETURN_NOT_OK(aggregator.status());
+        config->aggregator = aggregator.value();
+      } else if (key == "guidance_mode") {
+        if (name == "full") {
+          config->guidance_mode = core::GuidanceMode::kFull;
+        } else if (name == "NE") {
+          config->guidance_mode = core::GuidanceMode::kNodeEmbeddingsOnly;
+        } else if (name == "PF") {
+          config->guidance_mode = core::GuidanceMode::kPreferenceFilterOnly;
+        } else if (name == "AG") {
+          config->guidance_mode = core::GuidanceMode::kAttractionGroupOnly;
+        } else {
+          return Status::InvalidArgument("unknown guidance_mode \"" + name +
+                                         "\" (want full, NE, PF, or AG)");
+        }
+      } else if (name == "uniform" || name == "degree-biased") {
+        config->sampling_strategy =
+            name == "uniform" ? graph::SamplingStrategy::kUniform
+                              : graph::SamplingStrategy::kDegreeBiased;
+      } else {
+        return Status::InvalidArgument("unknown sampling_strategy \"" +
+                                       name +
+                                       "\" (want uniform or degree-biased)");
+      }
+    } else {
+      return Status::InvalidArgument("unknown " + where);
+    }
+  }
+  return Status::OK();
 }
 
 Result<ExperimentSpec> ParseSpec(const obs::Json& json) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/cgkgr_config.h"
 #include "obs/json.h"
 
 namespace cgkgr {
@@ -16,6 +17,7 @@ namespace exp {
 /// A spec is a JSON document (committed under bench/specs/) naming the
 /// experiment and a list of cases — scenario x model x dataset preset x
 /// trials x threads — that exp::RunSpec turns into one schema-v1 artifact.
+/// The paper's tables and figures are specs too (bench/specs/paper/).
 /// See docs/benchmarking.md for the format reference.
 
 /// The benchmark scenarios the runner knows how to execute.
@@ -25,7 +27,27 @@ namespace exp {
 ///                    snapshot publication with shed/expired accounting.
 ///   ckpt           — checkpoint publish / open / load latency vs model size.
 ///   micro_ops      — kernel microbenchmarks of the tensor/autograd substrate.
+///   quality        — the paper-table loop: datasets x trials x KG-corruption
+///                    ratios x variants, each fit and evaluated under the
+///                    topk or ctr protocol, summarized as mean/std/n rows.
 std::vector<std::string> ScenarioNames();
+
+/// One variant of a quality case: a registry model, reported under `label`,
+/// optionally with CG-KGR config overrides such as {"depth": 0}.
+struct VariantSpec {
+  std::string label;
+  std::string model;
+  /// CgKgrConfig overrides (see ApplyCgKgrOverrides); CG-KGR only.
+  obs::Json config = obs::Json::Object();
+};
+
+/// Applies the overrides object of a variant to `config`. Keys: depth,
+/// encoder, aggregator, guidance_mode (full | NE | PF | AG),
+/// use_interactive_summarization, use_knowledge_attention,
+/// use_collaborative_guidance, sampling_strategy (uniform | degree-biased).
+/// An unknown key or a wrong-typed value is InvalidArgument.
+Status ApplyCgKgrOverrides(const obs::Json& overrides,
+                           core::CgKgrConfig* config);
 
 /// One experiment case. Fields irrelevant to a case's scenario keep their
 /// defaults and are ignored by the runner.
@@ -44,7 +66,8 @@ struct CaseSpec {
   /// lanes). Each entry produces one artifact row.
   std::vector<int64_t> threads = {1};
   /// Training epochs (train scenario; serve uses it for the offline
-  /// warm-up fit before the freeze).
+  /// warm-up fit before the freeze). 0 asks the quality scenario for each
+  /// preset's own budget (spelled "epochs": "preset" in a spec).
   int64_t epochs = 1;
 
   // Serve-scenario knobs.
@@ -72,6 +95,16 @@ struct CaseSpec {
   // all registered kernels; see exp::MicroKernelNames()).
   int64_t iters = 50;
   std::vector<std::string> kernels;
+
+  // Quality-scenario knobs (scale, trials and epochs above also apply).
+  /// Dataset presets swept; empty = just `dataset`.
+  std::vector<std::string> datasets;
+  /// "topk" (early-stops on Recall@20) or "ctr" (early-stops on AUC).
+  std::string protocol = "topk";
+  /// KG-corruption ratios in [0, 1) applied per trial; empty = clean KG.
+  std::vector<double> ratios;
+  /// Models trained per (dataset, trial, ratio), in row order.
+  std::vector<VariantSpec> variants;
 };
 
 /// A named list of cases plus the base seed every case derives from.

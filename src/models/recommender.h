@@ -163,8 +163,7 @@ class RecommenderModel : public eval::PairScorer {
 };
 
 /// Writes `model`'s SaveState output to `path` as a framed, CRC-validated
-/// checkpoint file (atomic publish). The standalone save/load entry points
-/// that replaced the ad-hoc nn::SaveParameters call sites.
+/// checkpoint file (atomic publish).
 Status SaveModelState(const RecommenderModel& model, const std::string& path);
 
 /// Loads a file written by SaveModelState into `model` (which must be

@@ -1,14 +1,12 @@
 #include "models/trainer_util.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
 
-#include "analysis/tape_lint.h"
 #include "ckpt/checkpoint.h"
 #include "ckpt/io.h"
 #include "common/logging.h"
@@ -25,10 +23,6 @@ namespace cgkgr {
 namespace models {
 
 namespace {
-
-/// Record the parameter-gradient L2 norm on every Nth backward pass: cheap
-/// enough to leave on, frequent enough to catch explosions.
-constexpr int64_t kGradNormSampleEvery = 16;
 
 /// Resolves the per-epoch JSONL path: the per-run TrainOptions field wins,
 /// the CGKGR_METRICS_JSONL environment variable is the process default.
@@ -182,70 +176,6 @@ double GradientNorm(const nn::ParameterStore& store) {
 bool TapeLintEnabled(const TrainOptions& options) {
   static const bool env_enabled = std::getenv("CGKGR_LINT_TAPE") != nullptr;
   return options.lint_tape || env_enabled;
-}
-
-void LintAndBackward(autograd::Variable loss, const nn::ParameterStore& store,
-                     const TrainOptions& options,
-                     const analysis::TapeLintOptions& lint_options) {
-  if (TapeLintEnabled(options)) {
-    analysis::TapeLintReport report;
-    const Status status = analysis::LintTape(loss, store, &report, lint_options);
-    if (!status.ok()) {
-      CGKGR_LOG(Error) << "autograd tape lint failed:\n" << report.ToTable();
-      CGKGR_CHECK_MSG(false, "%s", status.ToString().c_str());
-    }
-  }
-  {
-    obs::ScopedSpan backward_span("train/backward");
-    loss.Backward();
-  }
-  static std::atomic<int64_t> backward_calls{0};
-  if (backward_calls.fetch_add(1, std::memory_order_relaxed) %
-          kGradNormSampleEvery ==
-      0) {
-    static obs::Gauge* grad_norm =
-        obs::MetricsRegistry::Default().GetGauge("train_grad_norm");
-    grad_norm->Set(GradientNorm(store));
-  }
-}
-
-void ForEachTrainBatch(
-    const std::vector<graph::Interaction>& train,
-    const std::vector<std::vector<int64_t>>& all_positives, int64_t num_items,
-    int64_t batch_size, Rng* rng,
-    const std::function<void(const TrainBatch&)>& fn) {
-  CGKGR_CHECK(batch_size > 0 && rng != nullptr);
-  static obs::Counter* batches_total =
-      obs::MetricsRegistry::Default().GetCounter("train_batches_total");
-  static obs::Counter* samples_total =
-      obs::MetricsRegistry::Default().GetCounter("train_samples_total");
-  std::vector<size_t> order(train.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  rng->Shuffle(&order);
-
-  TrainBatch batch;
-  for (size_t begin = 0; begin < order.size();
-       begin += static_cast<size_t>(batch_size)) {
-    const size_t end =
-        std::min(order.size(), begin + static_cast<size_t>(batch_size));
-    batch.users.clear();
-    batch.positive_items.clear();
-    batch.negative_items.clear();
-    {
-      obs::ScopedSpan negatives_span("train/negatives");
-      for (size_t i = begin; i < end; ++i) {
-        const graph::Interaction& x = train[order[i]];
-        batch.users.push_back(x.user);
-        batch.positive_items.push_back(x.item);
-        batch.negative_items.push_back(
-            data::SampleNegativeItem(all_positives, x.user, num_items, rng));
-      }
-    }
-    obs::ScopedSpan batch_span("train/batch");
-    fn(batch);
-    batches_total->Increment();
-    samples_total->Increment(static_cast<int64_t>(end - begin));
-  }
 }
 
 Status RunTrainingLoop(RecommenderModel* model, nn::ParameterStore* store,

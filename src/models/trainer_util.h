@@ -4,7 +4,6 @@
 #include <functional>
 #include <vector>
 
-#include "analysis/tape_lint.h"
 #include "autograd/variable.h"
 #include "common/rng.h"
 #include "data/dataset.h"
@@ -28,35 +27,13 @@ struct TrainBatch {
 };
 
 /// L2 norm across every parameter gradient in `store` (the train_grad_norm
-/// gauge's source; sampled by the batch drivers after gradients are final).
+/// gauge's source; ParallelTrainer samples it after gradients are final).
 double GradientNorm(const nn::ParameterStore& store);
 
 /// True when tape linting is on for this run: either the per-run
 /// TrainOptions::lint_tape debug flag or the CGKGR_LINT_TAPE environment
 /// variable (checked once per process).
 bool TapeLintEnabled(const TrainOptions& options);
-
-/// Runs `loss.Backward()`, first validating the recorded tape with
-/// analysis::LintTape against `store` when TapeLintEnabled(options). A lint
-/// violation is a programming error in the model's forward graph: the full
-/// per-violation report is logged and the process aborts rather than
-/// training on a broken tape. Every model's per-batch training step funnels
-/// through this so the whole model zoo stays lint-clean.
-///
-/// Staged-training schedules (e.g. KGAT's warm-up epoch, which deliberately
-/// leaves its bi-interaction layers out of the loss) declare the
-/// intentionally idle parameters via `lint_options.expected_frozen`.
-void LintAndBackward(autograd::Variable loss, const nn::ParameterStore& store,
-                     const TrainOptions& options,
-                     const analysis::TapeLintOptions& lint_options = {});
-
-/// Shuffles the train split and invokes `fn` once per mini-batch with one
-/// negative per positive, resampled per epoch.
-void ForEachTrainBatch(
-    const std::vector<graph::Interaction>& train,
-    const std::vector<std::vector<int64_t>>& all_positives, int64_t num_items,
-    int64_t batch_size, Rng* rng,
-    const std::function<void(const TrainBatch&)>& fn);
 
 /// One training pass over the data: `run_epoch(epoch, epoch_rng)` is handed
 /// the 1-based epoch number (so staged schedules like KGAT's warm-up epoch

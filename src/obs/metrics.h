@@ -77,8 +77,7 @@ struct HistogramSnapshot {
   double Percentile(double p) const;
 };
 
-/// Lock-free fixed-bucket histogram; the generalization of the old
-/// serve::LatencyHistogram. Bucket b counts samples in [2^b, 2^(b+1))
+/// Lock-free fixed-bucket histogram. Bucket b counts samples in [2^b, 2^(b+1))
 /// (bucket 0 additionally absorbs sub-1 samples), so 32 buckets span
 /// sub-unit to ~2^32 in whatever unit the caller records (this repo's
 /// convention: microseconds, suffix `_micros`).

@@ -323,36 +323,6 @@ std::vector<Response> Engine::HandleBatch(
   return responses;
 }
 
-std::vector<ScoredItem> Engine::TopK(int64_t user, int64_t k) {
-  Request request;
-  request.user = user;
-  request.k = k;
-  Response response = Handle(request);
-  CGKGR_CHECK_MSG(response.ok(), "TopK(%lld, %lld): %s",
-                  static_cast<long long>(user), static_cast<long long>(k),
-                  ResponseStatusName(response.status));
-  return std::move(response.items);
-}
-
-std::vector<std::vector<ScoredItem>> Engine::TopKBatch(
-    const std::vector<TopKRequest>& requests) {
-  std::vector<Request> mapped(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    mapped[i].user = requests[i].user;
-    mapped[i].k = requests[i].k;
-  }
-  std::vector<Response> responses = HandleBatch(mapped);
-  std::vector<std::vector<ScoredItem>> results(responses.size());
-  for (size_t i = 0; i < responses.size(); ++i) {
-    CGKGR_CHECK_MSG(responses[i].ok(), "TopKBatch[%zu](%lld, %lld): %s", i,
-                    static_cast<long long>(requests[i].user),
-                    static_cast<long long>(requests[i].k),
-                    ResponseStatusName(responses[i].status));
-    results[i] = std::move(responses[i].items);
-  }
-  return results;
-}
-
 void Engine::InstallSnapshot(std::shared_ptr<const Snapshot> snapshot,
                              std::string file) {
   CGKGR_CHECK(snapshot != nullptr);

@@ -20,13 +20,6 @@
 namespace cgkgr {
 namespace serve {
 
-/// One query in a TopKBatch call.
-/// \deprecated Use serve::Request with Engine::HandleBatch instead.
-struct TopKRequest {
-  int64_t user = 0;
-  int64_t k = 0;
-};
-
 /// Engine construction knobs.
 struct EngineOptions {
   /// Concurrent lanes (1 = fully single-threaded, no worker spawned).
@@ -89,16 +82,6 @@ class Engine {
   /// the duplicates); every entry still counts toward serve_requests_total.
   std::vector<Response> HandleBatch(const std::vector<Request>& requests)
       CGKGR_EXCLUDES(snapshot_mu_);
-
-  /// The top `k` unseen items for `user`, ranked by (score desc, item asc).
-  /// CHECK-fails on out-of-range arguments.
-  /// \deprecated Thin wrapper over Handle(); use the Request API.
-  std::vector<ScoredItem> TopK(int64_t user, int64_t k);
-
-  /// Answers a batch of requests, parallelized across the pool.
-  /// \deprecated Thin wrapper over HandleBatch(); use the Request API.
-  std::vector<std::vector<ScoredItem>> TopKBatch(
-      const std::vector<TopKRequest>& requests);
 
   /// Atomically replaces the snapshot (e.g. after retraining) and
   /// invalidates every cached result.

@@ -4,20 +4,9 @@
 #include <cstdint>
 #include <string>
 
-#include "obs/metrics.h"
 
 namespace cgkgr {
 namespace serve {
-
-/// The serving latency histogram is the general obs::Histogram recorded in
-/// microseconds: bucket b counts samples in [2^b, 2^(b+1)) us (bucket 0
-/// additionally absorbs sub-1us samples), so 32 buckets span sub-microsecond
-/// to ~71 minutes. Percentiles read the upper bound of the bucket holding
-/// the requested rank — a <=2x overestimate, the usual tradeoff for O(1)
-/// atomic recording on the request path. The old read-vs-reset race is gone:
-/// Reset()/SnapshotAndZero() swap each bucket atomically, so a concurrent
-/// Record lands in exactly one snapshot.
-using LatencyHistogram = obs::Histogram;
 
 /// A point-in-time copy of an Engine's counters. The live values are
 /// obs::MetricsRegistry::Default() instruments labeled
@@ -35,6 +24,8 @@ struct EngineStats {
   int64_t snapshot_reloads = 0;
   /// Delta patches applied (row-level invalidation reloads).
   int64_t snapshot_delta_reloads = 0;
+  /// Latency percentiles from the engine's obs::Histogram: bucket upper
+  /// bounds in microseconds, a <=2x overestimate.
   double p50_micros = 0.0;
   double p95_micros = 0.0;
   double p99_micros = 0.0;

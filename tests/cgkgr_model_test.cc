@@ -15,6 +15,7 @@
 #include "core/cgkgr_model.h"
 #include "data/synthetic.h"
 #include "eval/protocol.h"
+#include "models/recommender.h"
 #include "serve/delta.h"
 #include "serve/snapshot.h"
 
@@ -252,26 +253,20 @@ TEST(CgKgrModelTest, SaveLoadReproducesScores) {
   {
     CgKgrModel model(SmallModelConfig());
     ASSERT_TRUE(model.Fit(d, QuickTrain(4)).ok());
-    ASSERT_TRUE(model.SaveParameters(path).ok());
+    ASSERT_TRUE(models::SaveModelState(model, path).ok());
     model.ScorePairs({0, 1, 2}, {3, 4, 5}, &trained_scores);
   }
   CgKgrModel restored(SmallModelConfig());
   // Prepare with the same seed reproduces eval sampling streams, then the
   // loaded parameters reproduce the trained scores exactly.
   ASSERT_TRUE(restored.Prepare(d, QuickTrain(4).seed).ok());
-  ASSERT_TRUE(restored.LoadParameters(path).ok());
+  ASSERT_TRUE(models::LoadModelState(&restored, path).ok());
   std::vector<float> restored_scores;
   restored.ScorePairs({0, 1, 2}, {3, 4, 5}, &restored_scores);
   ASSERT_EQ(restored_scores.size(), trained_scores.size());
   for (size_t i = 0; i < trained_scores.size(); ++i) {
     EXPECT_FLOAT_EQ(restored_scores[i], trained_scores[i]);
   }
-}
-
-TEST(CgKgrModelTest, SaveBeforePrepareFails) {
-  CgKgrModel model(SmallModelConfig());
-  EXPECT_FALSE(model.SaveParameters("/tmp/nope.params").ok());
-  EXPECT_FALSE(model.LoadParameters("/tmp/nope.params").ok());
 }
 
 TEST(CgKgrModelTest, DegreeBiasedSamplingTrains) {

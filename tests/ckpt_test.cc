@@ -26,8 +26,6 @@
 #include "data/synthetic.h"
 #include "models/registry.h"
 #include "models/trainer_util.h"
-#include "nn/parameter.h"
-#include "nn/serialize.h"
 #include "tensor/tensor.h"
 
 namespace cgkgr {
@@ -152,6 +150,29 @@ TEST(CkptIoTest, WriterReaderRoundTripAllRecordTypes) {
   ASSERT_TRUE(reader.ReadTensor(&rt).ok());
   ASSERT_TRUE(rt.SameShape(t));
   for (int64_t j = 0; j < t.size(); ++j) EXPECT_EQ(rt[j], t[j]);
+  EXPECT_TRUE(reader.AtEnd());
+}
+
+// Empty vectors are legal records (e.g. a model with no loss curve yet);
+// reading one back must not hand memcpy a null destination.
+TEST(CkptIoTest, EmptyVectorsRoundTrip) {
+  Writer writer;
+  writer.WriteFloats(nullptr, 0);
+  writer.WriteDoubles({});
+  writer.WriteI64s({});
+  Result<Reader> opened = Reader::FromFramedBytes(writer.FramedBytes());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Reader reader = std::move(opened).value();
+  // Never-allocated destinations: data() is null.
+  std::vector<float> floats;
+  std::vector<double> doubles;
+  std::vector<int64_t> i64s;
+  ASSERT_TRUE(reader.ReadFloats(&floats).ok());
+  ASSERT_TRUE(reader.ReadDoubles(&doubles).ok());
+  ASSERT_TRUE(reader.ReadI64s(&i64s).ok());
+  EXPECT_TRUE(floats.empty());
+  EXPECT_TRUE(doubles.empty());
+  EXPECT_TRUE(i64s.empty());
   EXPECT_TRUE(reader.AtEnd());
 }
 
@@ -408,35 +429,6 @@ TEST(ModelStateTest, LoadRejectsWrongModelsAndCorruption) {
   const std::string before = StatePayload(*bprmf);
   EXPECT_FALSE(models::LoadModelState(bprmf.get(), path).ok());
   EXPECT_EQ(StatePayload(*bprmf), before);
-}
-
-TEST(ModelStateTest, DeprecatedNnSerializeWrappersStillRoundTrip) {
-  // nn::SaveParameters/LoadParameters are compatibility shims over ckpt;
-  // they must keep round-tripping a bare ParameterStore.
-  nn::ParameterStore store;
-  Rng rng(3);
-  store.Create("a", {2, 2}, nn::Init::kXavierUniform, &rng);
-  store.Create("b", {3}, nn::Init::kZeros, &rng);
-  const std::string dir = FreshDir("nn-serialize");
-  const std::string path = dir + "/params.ckpt";
-  ASSERT_TRUE(nn::SaveParameters(store, path).ok());
-
-  nn::ParameterStore other;
-  Rng rng2(4);
-  other.Create("a", {2, 2}, nn::Init::kXavierUniform, &rng2);
-  other.Create("b", {3}, nn::Init::kZeros, &rng2);
-  ASSERT_TRUE(nn::LoadParameters(&other, path).ok());
-  for (size_t p = 0; p < store.parameters().size(); ++p) {
-    const tensor::Tensor& want = store.parameters()[p].value();
-    const tensor::Tensor& got = other.parameters()[p].value();
-    for (int64_t i = 0; i < want.size(); ++i) EXPECT_EQ(want[i], got[i]);
-  }
-
-  // Mismatched arity is rejected.
-  nn::ParameterStore small;
-  Rng rng3(5);
-  small.Create("a", {2, 2}, nn::Init::kZeros, &rng3);
-  EXPECT_FALSE(nn::LoadParameters(&small, path).ok());
 }
 
 // --- training checkpoints + exact resume -------------------------------

@@ -337,9 +337,6 @@ TEST(AggregatorTest, SummaryAndBestRow) {
 
 TEST(AggregatorTest, FormatHelpers) {
   EXPECT_EQ(FormatMeanStd({0.2162, 0.0367}), "21.62 +/- 3.67");
-  EXPECT_EQ(FormatGain(0.21, 0.20), "+5.00%");
-  EXPECT_EQ(FormatGain(0.19, 0.20), "-5.00%");
-  EXPECT_EQ(FormatGain(1.0, 0.0), "n/a");
 }
 
 }  // namespace

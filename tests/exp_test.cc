@@ -1,7 +1,8 @@
 // Tests for the unified experiment harness: the obs::Json library the
 // artifacts are built from, spec parsing, the schema-v1 artifact
-// writer/validator, process-stats sampling, and the perf-regression
-// comparator behind tools/bench_compare.
+// writer/validator, process-stats sampling, the perf-regression comparator
+// behind tools/bench_compare, and the quality scenario the paper-table
+// specs run.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@
 #include <vector>
 
 #include "common/status.h"
-
+#include "core/cgkgr_config.h"
 #include "exp/artifact.h"
 #include "exp/compare.h"
 #include "exp/runner.h"
@@ -127,6 +128,77 @@ TEST(SpecTest, BadInputsProduceCleanStatusesNotCrashes) {
   for (const std::string& text : bad) {
     Result<exp::ExperimentSpec> spec = exp::ParseSpecString(text);
     EXPECT_FALSE(spec.ok()) << "accepted: " << text;
+  }
+}
+
+TEST(SpecTest, ParsesQualityCase) {
+  Result<exp::ExperimentSpec> spec = exp::ParseSpecString(R"({
+    "name": "q",
+    "cases": [
+      {"scenario": "quality", "protocol": "ctr",
+       "datasets": ["music", "book"], "ratios": [0.0, 0.2],
+       "epochs": "preset",
+       "variants": ["BPRMF",
+                    {"label": "w/o KG", "model": "CG-KGR",
+                     "config": {"depth": 0, "guidance_mode": "NE",
+                                "use_knowledge_attention": false}}]}
+    ]
+  })");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const exp::CaseSpec& quality = spec.value().cases[0];
+  EXPECT_EQ(quality.protocol, "ctr");
+  EXPECT_EQ(quality.epochs, 0);  // each preset's own budget
+  EXPECT_EQ(quality.datasets, (std::vector<std::string>{"music", "book"}));
+  EXPECT_EQ(quality.ratios, (std::vector<double>{0.0, 0.2}));
+  ASSERT_EQ(quality.variants.size(), 2u);
+  EXPECT_EQ(quality.variants[0].label, "BPRMF");  // defaults to the model
+  EXPECT_EQ(quality.variants[1].label, "w/o KG");
+  core::CgKgrConfig config;
+  ASSERT_TRUE(
+      exp::ApplyCgKgrOverrides(quality.variants[1].config, &config).ok());
+  EXPECT_EQ(config.depth, 0);
+  EXPECT_EQ(config.guidance_mode, core::GuidanceMode::kNodeEmbeddingsOnly);
+  EXPECT_FALSE(config.use_knowledge_attention);
+}
+
+TEST(SpecTest, BadQualityCasesAreInvalidArgument) {
+  const std::vector<std::string> bad_cases = {
+      // Unknown override key.
+      R"({"scenario": "quality",
+          "variants": [{"model": "CG-KGR", "config": {"dept": 0}}]})",
+      // Override of the wrong type.
+      R"({"scenario": "quality",
+          "variants": [{"model": "CG-KGR", "config": {"depth": "zero"}}]})",
+      R"({"scenario": "quality",
+          "variants": [{"model": "CG-KGR",
+                        "config": {"use_knowledge_attention": 1}}]})",
+      // Overrides on a model that has no CG-KGR config.
+      R"({"scenario": "quality",
+          "variants": [{"model": "BPRMF", "config": {"depth": 0}}]})",
+      // Unknown variant model.
+      R"({"scenario": "quality", "variants": ["GPT"]})",
+      // Empty (and missing) variant list.
+      R"({"scenario": "quality", "variants": []})",
+      R"({"scenario": "quality"})",
+      // Duplicate variant label.
+      R"({"scenario": "quality",
+          "variants": ["BPRMF", {"label": "BPRMF", "model": "CG-KGR"}]})",
+      // Corruption ratio outside [0, 1).
+      R"({"scenario": "quality", "ratios": [0.2, 1.0],
+          "variants": ["CG-KGR"]})",
+      R"({"scenario": "quality", "ratios": -0.1, "variants": ["CG-KGR"]})",
+      // Unknown protocol / dataset; the preset budget outside quality.
+      R"({"scenario": "quality", "protocol": "auc",
+          "variants": ["CG-KGR"]})",
+      R"({"scenario": "quality", "datasets": ["music", "nosuch"],
+          "variants": ["CG-KGR"]})",
+      R"({"scenario": "train", "epochs": "preset"})",
+  };
+  for (const std::string& bad_case : bad_cases) {
+    Result<exp::ExperimentSpec> spec = exp::ParseSpecString(
+        R"({"name": "x", "cases": [)" + bad_case + "]}");
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument)
+        << "case: " << bad_case << "\n" << spec.status().ToString();
   }
 }
 
@@ -435,6 +507,61 @@ TEST(RunnerTest, MicroKernelRegistryIsStable) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The quality scenario
+
+TEST(QualityTest, TwoTrialCaseIsDeterministicAndComplete) {
+  Result<exp::ExperimentSpec> spec = exp::ParseSpecString(R"({
+    "name": "q",
+    "cases": [{"scenario": "quality", "dataset": "music", "scale": 0.25,
+               "epochs": 1, "trials": 2, "variants": ["BPRMF", "CG-KGR"]}]
+  })");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto run = [&] {
+    std::vector<exp::CaseResult> rows;
+    const Status status = exp::RunCase(spec.value().cases[0], 17,
+                                       exp::RunnerOptions{}, &rows);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return rows;
+  };
+  const std::vector<exp::CaseResult> first = run();
+  const std::vector<exp::CaseResult> second = run();
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(first[0].label, "quality/topk/music/BPRMF");
+  EXPECT_EQ(first[1].label, "quality/topk/music/CG-KGR");
+
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].label, second[i].label);
+    EXPECT_EQ(first[i].params.Dump(), second[i].params.Dump());
+    EXPECT_EQ(first[i].metrics.members().size(),
+              second[i].metrics.members().size());
+    for (const auto& [name, value] : first[i].metrics.members()) {
+      // Identical apart from the wall clock.
+      if (name == "seconds_per_epoch" || name == "seconds_per_epoch_std") {
+        continue;
+      }
+      const obs::Json* again = second[i].metrics.Get(name);
+      ASSERT_NE(again, nullptr) << name;
+      EXPECT_EQ(value.Dump(), again->Dump()) << first[i].label << " " << name;
+    }
+    for (const std::string metric :
+         {"recall@1", "recall@5", "recall@10", "recall@20", "recall@50",
+          "recall@100", "ndcg@1", "ndcg@5", "ndcg@10", "ndcg@20", "ndcg@50",
+          "ndcg@100", "seconds_per_epoch", "best_epoch"}) {
+      EXPECT_NE(first[i].metrics.Get(metric), nullptr) << metric;
+      EXPECT_NE(first[i].metrics.Get(metric + "_std"), nullptr) << metric;
+      EXPECT_EQ(first[i].metrics.GetInt(metric + "_n", 0), 2) << metric;
+    }
+  }
+  // Only the CG-KGR row carries Table IV's gain and its significance.
+  EXPECT_EQ(first[0].metrics.Get("recall@20_gain"), nullptr);
+  EXPECT_NE(first[1].metrics.Get("recall@20_gain"), nullptr);
+  EXPECT_NE(first[1].metrics.Get("ndcg@20_gain"), nullptr);
+  EXPECT_NE(first[1].metrics.Get("recall@20_p_value"), nullptr);
+  EXPECT_EQ(first[1].params.GetString("gain_vs", ""), "BPRMF");
 }
 
 }  // namespace

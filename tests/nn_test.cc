@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
 
 #include "autograd/ops.h"
 #include "common/rng.h"
@@ -13,7 +12,6 @@
 #include "nn/embedding.h"
 #include "nn/gradient_check.h"
 #include "nn/parameter.h"
-#include "nn/serialize.h"
 #include "tensor/init.h"
 #include "tensor/tensor_ops.h"
 
@@ -181,63 +179,6 @@ TEST(AdamTest, LearningRateScaleMatters) {
     opt.Step();
     EXPECT_NEAR(w.value()[0], -lr, lr * 0.1f);
   }
-}
-
-TEST(SerializeTest, SaveLoadRoundTripsBitExact) {
-  const std::string path = "/tmp/cgkgr_params_test.txt";
-  ParameterStore store;
-  Rng rng(71);
-  Variable w = store.Create("w", {3, 4}, Init::kXavierUniform, &rng);
-  Variable b = store.Create("b", {4}, Init::kSmallNormal, &rng);
-  const tensor::Tensor w_copy = w.value().Clone();
-  ASSERT_TRUE(SaveParameters(store, path).ok());
-
-  // Second store with identical structure but different values.
-  ParameterStore other;
-  Rng rng2(999);
-  Variable w2 = other.Create("w", {3, 4}, Init::kXavierUniform, &rng2);
-  other.Create("b", {4}, Init::kSmallNormal, &rng2);
-  ASSERT_TRUE(LoadParameters(&other, path).ok());
-  for (int64_t i = 0; i < w_copy.size(); ++i) {
-    EXPECT_EQ(w2.value()[i], w_copy[i]);  // bit-exact via hex floats
-  }
-}
-
-TEST(SerializeTest, LoadRejectsStructureMismatch) {
-  const std::string path = "/tmp/cgkgr_params_test2.txt";
-  ParameterStore store;
-  Rng rng(73);
-  store.Create("w", {2, 2}, Init::kXavierUniform, &rng);
-  ASSERT_TRUE(SaveParameters(store, path).ok());
-
-  ParameterStore wrong_count;
-  Rng rng2(74);
-  wrong_count.Create("w", {2, 2}, Init::kXavierUniform, &rng2);
-  wrong_count.Create("extra", {1}, Init::kZeros, &rng2);
-  EXPECT_FALSE(LoadParameters(&wrong_count, path).ok());
-
-  ParameterStore wrong_shape;
-  Rng rng3(75);
-  wrong_shape.Create("w", {4}, Init::kXavierUniform, &rng3);
-  EXPECT_FALSE(LoadParameters(&wrong_shape, path).ok());
-
-  ParameterStore wrong_name;
-  Rng rng4(76);
-  wrong_name.Create("v", {2, 2}, Init::kXavierUniform, &rng4);
-  EXPECT_FALSE(LoadParameters(&wrong_name, path).ok());
-}
-
-TEST(SerializeTest, LoadRejectsMissingOrCorruptFile) {
-  ParameterStore store;
-  Rng rng(77);
-  store.Create("w", {2}, Init::kZeros, &rng);
-  EXPECT_FALSE(LoadParameters(&store, "/nonexistent/params").ok());
-  const std::string path = "/tmp/cgkgr_params_bad.txt";
-  {
-    std::ofstream out(path);
-    out << "not-a-param-file\n";
-  }
-  EXPECT_FALSE(LoadParameters(&store, path).ok());
 }
 
 TEST(GradientCheckTest, DetectsBrokenGradient) {

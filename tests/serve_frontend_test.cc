@@ -201,7 +201,8 @@ TEST(FrontendTest, ServesSubmissionsThroughTheRouter) {
   for (int64_t user = 0; user < 16; ++user) {
     Response response = futures[static_cast<size_t>(user)].get();
     ASSERT_TRUE(response.ok()) << "user " << user;
-    EXPECT_EQ(response.items, reference.TopK(user, 5)) << "user " << user;
+    EXPECT_EQ(response.items, reference.Handle(MakeRequest(user, 5)).items)
+        << "user " << user;
   }
   const FrontendStats stats = frontend.value()->stats();
   EXPECT_EQ(stats.submitted, 16);

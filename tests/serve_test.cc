@@ -84,6 +84,16 @@ std::vector<ScoredItem> BruteForceTopK(models::RecommenderModel* model,
   return ranked;
 }
 
+/// The items Engine::Handle ranks for (user, k); the request must succeed.
+std::vector<ScoredItem> TopKItems(Engine* engine, int64_t user, int64_t k) {
+  Request request;
+  request.user = user;
+  request.k = k;
+  const Response response = engine->Handle(request);
+  EXPECT_TRUE(response.ok()) << ResponseStatusName(response.status);
+  return response.items;
+}
+
 // --- Snapshot ---
 
 TEST(SnapshotTest, SaveLoadRoundTripIsExact) {
@@ -211,12 +221,12 @@ TEST(EngineTest, TopKMatchesBruteForceForEveryUser) {
   for (int64_t user = 0; user < dataset.num_users; ++user) {
     const auto expected = BruteForceTopK(
         model.get(), dataset, seen[static_cast<size_t>(user)], user, 10);
-    const auto actual = engine.TopK(user, 10);
+    const auto actual = TopKItems(&engine, user, 10);
     ASSERT_EQ(actual, expected) << "user " << user;
   }
 }
 
-TEST(EngineTest, TopKBatchMatchesSingleCalls) {
+TEST(EngineTest, HandleBatchMatchesSingleCalls) {
   const data::Dataset dataset = SmallDataset();
   auto model = TrainedModel(dataset);
   auto snapshot = std::make_shared<const Snapshot>(
@@ -227,14 +237,17 @@ TEST(EngineTest, TopKBatchMatchesSingleCalls) {
   options.cache_capacity = 0;  // exercise the uncached path
   Engine engine(snapshot, options);
 
-  std::vector<TopKRequest> requests;
+  std::vector<Request> requests(static_cast<size_t>(dataset.num_users));
   for (int64_t user = 0; user < dataset.num_users; ++user) {
-    requests.push_back({user, 1 + user % 13});
+    requests[static_cast<size_t>(user)].user = user;
+    requests[static_cast<size_t>(user)].k = 1 + user % 13;
   }
-  const auto batched = engine.TopKBatch(requests);
+  const std::vector<Response> batched = engine.HandleBatch(requests);
   ASSERT_EQ(batched.size(), requests.size());
   for (size_t r = 0; r < requests.size(); ++r) {
-    EXPECT_EQ(batched[r], engine.TopK(requests[r].user, requests[r].k))
+    ASSERT_TRUE(batched[r].ok()) << "request " << r;
+    EXPECT_EQ(batched[r].items,
+              TopKItems(&engine, requests[r].user, requests[r].k))
         << "request " << r;
   }
 }
@@ -249,7 +262,7 @@ TEST(EngineTest, FilterSeenExcludesTrainItems) {
   const auto seen = dataset.BuildTrainPositives();
   for (int64_t user = 0; user < dataset.num_users; ++user) {
     const auto& user_seen = seen[static_cast<size_t>(user)];
-    for (const ScoredItem& rec : engine.TopK(user, dataset.num_items)) {
+    for (const ScoredItem& rec : TopKItems(&engine, user, dataset.num_items)) {
       EXPECT_FALSE(std::binary_search(user_seen.begin(), user_seen.end(),
                                       rec.item))
           << "user " << user << " got seen item " << rec.item;
@@ -267,7 +280,7 @@ TEST(EngineTest, ShortCandidateListsReturnFewerThanK) {
   snapshot.seen = {{0, 3}};
   Engine engine(std::make_shared<const Snapshot>(std::move(snapshot)),
                 EngineOptions{});
-  const auto result = engine.TopK(0, 10);
+  const auto result = TopKItems(&engine, 0, 10);
   const std::vector<ScoredItem> expected = {{1, 4.0f}, {2, 3.0f}, {4, 1.0f}};
   EXPECT_EQ(result, expected);
 }
@@ -289,12 +302,12 @@ TEST(EngineTest, TinyCatalogBlocksSmallerThanKAreClamped) {
   options.cache_capacity = 0;
   Engine engine(std::make_shared<const Snapshot>(std::move(snapshot)),
                 options);
-  const auto result = engine.TopK(0, 10);
+  const auto result = TopKItems(&engine, 0, 10);
   const std::vector<ScoredItem> expected = {
       {1, 7.0f}, {6, 4.0f}, {2, 3.0f}, {0, 1.0f}};
   EXPECT_EQ(result, expected);
   // k smaller than the surviving candidate count still truncates correctly.
-  const auto top2 = engine.TopK(0, 2);
+  const auto top2 = TopKItems(&engine, 0, 2);
   const std::vector<ScoredItem> expected2 = {{1, 7.0f}, {6, 4.0f}};
   EXPECT_EQ(top2, expected2);
 }
@@ -350,9 +363,9 @@ TEST(EngineTest, CacheHitsAndInvalidationOnReload) {
   options.cache_capacity = 16;
   Engine engine(std::make_shared<const Snapshot>(first), options);
 
-  const auto before = engine.TopK(0, 2);
+  const auto before = TopKItems(&engine, 0, 2);
   EXPECT_EQ(before.front().item, 2);
-  EXPECT_EQ(engine.TopK(0, 2), before);  // served from cache
+  EXPECT_EQ(TopKItems(&engine, 0, 2), before);  // served from cache
   EngineStats stats = engine.stats();
   EXPECT_EQ(stats.requests, 2);
   EXPECT_EQ(stats.cache_hits, 1);
@@ -363,7 +376,7 @@ TEST(EngineTest, CacheHitsAndInvalidationOnReload) {
   Snapshot second = first;
   second.scores = {3.0f, 2.0f, 1.0f, 3.0f, 2.0f, 1.0f};
   engine.ReloadSnapshot(std::make_shared<const Snapshot>(second));
-  const auto after = engine.TopK(0, 2);
+  const auto after = TopKItems(&engine, 0, 2);
   EXPECT_EQ(after.front().item, 0);
   stats = engine.stats();
   EXPECT_EQ(stats.snapshot_reloads, 1);
@@ -436,7 +449,7 @@ TEST(EngineTest, StatsTableRendersCounters) {
   snapshot.seen = {{}};
   Engine engine(std::make_shared<const Snapshot>(std::move(snapshot)),
                 EngineOptions{});
-  engine.TopK(0, 1);
+  TopKItems(&engine, 0, 1);
   const std::string table = engine.stats().ToTable();
   EXPECT_NE(table.find("requests"), std::string::npos);
   EXPECT_NE(table.find("p99 latency"), std::string::npos);
@@ -710,22 +723,6 @@ TEST(EngineTest, HandleBatchCoalescesDuplicates) {
   EXPECT_EQ(stats.computes, 9);
 }
 
-TEST(EngineTest, TopKBatchCoalescesDuplicatesWithIdenticalResults) {
-  EngineOptions options;
-  options.cache_capacity = 0;
-  Engine engine(std::make_shared<const Snapshot>(TinySnapshot()), options);
-  const std::vector<TopKRequest> requests = {{0, 2}, {0, 2}, {1, 2}, {0, 2}};
-  const auto results = engine.TopKBatch(requests);
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[3]);
-  EXPECT_EQ(results[0], engine.TopK(0, 2));
-  EXPECT_EQ(results[2], engine.TopK(1, 2));
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.batch_coalesced, 2);
-  EXPECT_EQ(stats.computes, 4);  // 2 distinct in batch + 2 TopK checks
-}
-
 TEST(EngineTest, GenerationIsMonotonicAcrossReloadKinds) {
   Engine engine(std::make_shared<const Snapshot>(TinySnapshot()),
                 EngineOptions{});
@@ -752,8 +749,8 @@ TEST(EngineTest, ApplyDeltaSnapshotInvalidatesOnlyTouchedRows) {
   Engine engine(std::make_shared<const Snapshot>(TinySnapshot()), options);
 
   // Warm both users' cache entries.
-  const auto user0_before = engine.TopK(0, 2);
-  const auto user1_before = engine.TopK(1, 2);
+  const auto user0_before = TopKItems(&engine, 0, 2);
+  const auto user1_before = TopKItems(&engine, 1, 2);
   EngineStats stats = engine.stats();
   EXPECT_EQ(stats.cache_misses, 2);
   EXPECT_EQ(stats.cache_hits, 0);
@@ -765,14 +762,14 @@ TEST(EngineTest, ApplyDeltaSnapshotInvalidatesOnlyTouchedRows) {
   ASSERT_TRUE(engine.ApplyDeltaSnapshot(delta.value()).ok());
 
   // User 0: row unchanged, cached list survives the reload.
-  EXPECT_EQ(engine.TopK(0, 2), user0_before);
+  EXPECT_EQ(TopKItems(&engine, 0, 2), user0_before);
   stats = engine.stats();
   EXPECT_EQ(stats.cache_hits, 1);
   EXPECT_EQ(stats.cache_misses, 2);
 
   // User 1: row patched, the cached list is unreachable and the fresh
   // compute reflects the new scores (9.25 on item 1 now wins).
-  const auto user1_after = engine.TopK(1, 2);
+  const auto user1_after = TopKItems(&engine, 1, 2);
   EXPECT_NE(user1_after, user1_before);
   EXPECT_EQ(user1_after.front().item, 1);
   stats = engine.stats();
@@ -783,7 +780,7 @@ TEST(EngineTest, ApplyDeltaSnapshotInvalidatesOnlyTouchedRows) {
   // A stale delta (built against the base we no longer serve) is refused
   // and the engine keeps serving.
   EXPECT_FALSE(engine.ApplyDeltaSnapshot(delta.value()).ok());
-  EXPECT_EQ(engine.TopK(1, 2), user1_after);
+  EXPECT_EQ(TopKItems(&engine, 1, 2), user1_after);
 }
 
 TEST(EngineTest, ReloadFromDirAppliesMixedSnapshotAndDeltaTimeline) {

@@ -1,5 +1,5 @@
-// Tests for models/trainer_util: the shared mini-batch driver and training
-// loop plumbing every model builds on.
+// Tests for the training plumbing every model builds on: the shared
+// training loop (models/trainer_util) and the ParallelTrainer epoch driver.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "autograd/ops.h"
 #include "common/logging.h"
+#include "common/mutex.h"
 #include "data/synthetic.h"
 #include "models/parallel_trainer.h"
 #include "models/registry.h"
@@ -31,65 +32,6 @@ std::vector<graph::Interaction> MakeTrain(int64_t users, int64_t per_user) {
     for (int64_t j = 0; j < per_user; ++j) train.push_back({u, (u + j) % 50});
   }
   return train;
-}
-
-TEST(TrainBatchTest, CoversEveryInteractionExactlyOnce) {
-  const auto train = MakeTrain(10, 7);
-  const auto positives = data::Dataset::BuildPositives(train, 10);
-  Rng rng(1);
-  std::multiset<std::pair<int64_t, int64_t>> seen;
-  int64_t batches = 0;
-  ForEachTrainBatch(train, positives, 50, /*batch_size=*/16, &rng,
-                    [&](const TrainBatch& batch) {
-                      ++batches;
-                      EXPECT_LE(batch.users.size(), 16u);
-                      EXPECT_EQ(batch.users.size(),
-                                batch.positive_items.size());
-                      EXPECT_EQ(batch.users.size(),
-                                batch.negative_items.size());
-                      for (size_t i = 0; i < batch.users.size(); ++i) {
-                        seen.insert({batch.users[i], batch.positive_items[i]});
-                      }
-                    });
-  EXPECT_EQ(batches, (70 + 15) / 16);
-  std::multiset<std::pair<int64_t, int64_t>> expected;
-  for (const auto& x : train) expected.insert({x.user, x.item});
-  EXPECT_EQ(seen, expected);
-}
-
-TEST(TrainBatchTest, NegativesAreTrueNegatives) {
-  const auto train = MakeTrain(8, 10);
-  const auto positives = data::Dataset::BuildPositives(train, 8);
-  Rng rng(2);
-  ForEachTrainBatch(train, positives, 50, 32, &rng,
-                    [&](const TrainBatch& batch) {
-                      for (size_t i = 0; i < batch.users.size(); ++i) {
-                        const auto& p = positives[static_cast<size_t>(
-                            batch.users[i])];
-                        EXPECT_FALSE(std::binary_search(
-                            p.begin(), p.end(), batch.negative_items[i]));
-                      }
-                    });
-}
-
-TEST(TrainBatchTest, ShuffleDiffersAcrossRngs) {
-  const auto train = MakeTrain(10, 10);
-  const auto positives = data::Dataset::BuildPositives(train, 10);
-  auto first_batch_users = [&](uint64_t seed) {
-    Rng rng(seed);
-    std::vector<int64_t> users;
-    bool captured = false;
-    ForEachTrainBatch(train, positives, 50, 16, &rng,
-                      [&](const TrainBatch& batch) {
-                        if (!captured) {
-                          users = batch.users;
-                          captured = true;
-                        }
-                      });
-    return users;
-  };
-  EXPECT_NE(first_batch_users(1), first_batch_users(2));
-  EXPECT_EQ(first_batch_users(3), first_batch_users(3));
 }
 
 data::Dataset SmallDataset() {
@@ -266,6 +208,48 @@ TEST(ParallelTrainerTest, BitIdenticalAcrossThreadCountsForModelZoo) {
             << name << " threads=" << threads << " score " << i;
       }
     }
+  }
+}
+
+TEST(ParallelTrainerTest, EpochCoversEveryInteractionExactlyOnce) {
+  // Each training pair reaches exactly one shard's LossFn per epoch, with a
+  // negative drawn for it, whether the shards run inline or on four lanes.
+  const auto train = MakeTrain(10, 7);
+  const auto positives = data::Dataset::BuildPositives(train, 10);
+  std::multiset<std::pair<int64_t, int64_t>> expected;
+  for (const auto& x : train) expected.insert({x.user, x.item});
+
+  for (const int64_t threads : {1, 4}) {
+    TrainOptions options;
+    options.batch_size = 64;  // several shards per batch, then a short tail
+    options.num_threads = threads;
+    nn::ParameterStore store;
+    Rng init_rng(1);
+    nn::EmbeddingTable users(&store, "u", 10, 4, &init_rng);
+    nn::EmbeddingTable items(&store, "i", 50, 4, &init_rng);
+    nn::AdamOptimizer optimizer(store.parameters(), nn::AdamOptions());
+    ParallelTrainer trainer(options, &store, &optimizer);
+
+    Mutex mu;
+    std::multiset<std::pair<int64_t, int64_t>> seen;
+    auto loss_fn = [&](const TrainBatch& batch, Rng* /*rng*/) {
+      EXPECT_LE(batch.users.size(), 64u);
+      EXPECT_EQ(batch.users.size(), batch.positive_items.size());
+      EXPECT_EQ(batch.users.size(), batch.negative_items.size());
+      {
+        MutexLock lock(&mu);
+        for (size_t i = 0; i < batch.users.size(); ++i) {
+          seen.insert({batch.users[i], batch.positive_items[i]});
+        }
+      }
+      autograd::Variable u = users.Lookup(batch.users);
+      return autograd::BPRLoss(
+          autograd::RowDot(u, items.Lookup(batch.positive_items)),
+          autograd::RowDot(u, items.Lookup(batch.negative_items)));
+    };
+    Rng epoch_rng(1);
+    trainer.RunEpoch(train, positives, 50, &epoch_rng, loss_fn);
+    EXPECT_EQ(seen, expected) << "threads=" << threads;
   }
 }
 

@@ -21,7 +21,8 @@
 #                            (tensor_test, autograd_test, ckpt_test).
 #        CGKGR_CHECK_UBSAN=1 UndefinedBehaviorSanitizer over the numeric
 #                            core (tensor_test, autograd_test,
-#                            cgkgr_model_test).
+#                            cgkgr_model_test) and the checkpoint byte
+#                            codec (ckpt_test).
 #   4. Perf-regression gate, opt-in because it runs real training:
 #        CGKGR_CHECK_BENCH=1 runs cgkgr_bench on the committed smoke spec
 #                            (bench/specs/smoke.json), then diffs the new
@@ -115,7 +116,7 @@ fi
 
 if [ "${CGKGR_CHECK_UBSAN:-0}" = "1" ]; then
   run_sanitizer UndefinedBehaviorSanitizer undefined build-ubsan \
-    tensor_test autograd_test cgkgr_model_test
+    tensor_test autograd_test cgkgr_model_test ckpt_test
 else
   echo "== UndefinedBehaviorSanitizer: SKIPPED (set CGKGR_CHECK_UBSAN=1 to enable) =="
 fi
