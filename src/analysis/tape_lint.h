@@ -22,8 +22,9 @@ namespace analysis {
 /// every edge against the metadata MakeOpResult recorded at op time.
 ///
 /// Enable during training with TrainOptions::lint_tape or the
-/// CGKGR_LINT_TAPE environment variable (see models::LintAndBackward);
-/// every baseline and CG-KGR train lint-clean under it.
+/// CGKGR_LINT_TAPE environment variable (models::ParallelTrainer lints each
+/// shard's tape before its backward pass); every baseline and CG-KGR train
+/// lint-clean under it.
 
 /// Machine-readable category of one tape violation.
 enum class TapeViolation {

@@ -1,83 +1,45 @@
 #include "baselines/bprmf.h"
 
-#include "ckpt/checkpoint.h"
 #include "autograd/ops.h"
-#include "common/macros.h"
-#include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
-#include "nn/adam.h"
 #include "tensor/tensor_ops.h"
 
 namespace cgkgr {
 namespace baselines {
 
-BprMf::BprMf(const data::PresetHyperParams& hparams) : hparams_(hparams) {}
+BprMf::BprMf(const data::PresetHyperParams& hparams)
+    : RecommenderModel(hparams.learning_rate, hparams.l2),
+      hparams_(hparams) {}
 
-Status BprMf::Fit(const data::Dataset& dataset,
-                  const models::TrainOptions& options) {
+Status BprMf::Build(const data::Dataset& dataset, uint64_t seed) {
   const int64_t d = hparams_.embedding_dim;
-  store_ = nn::ParameterStore();
-  Rng init_rng(options.seed ^ 0xB0B0B0B0B0B0B0B0ULL);
+  Rng init_rng(seed ^ 0xB0B0B0B0B0B0B0B0ULL);
   user_table_ = std::make_unique<nn::EmbeddingTable>(
       &store_, "user_emb", dataset.num_users, d, &init_rng);
   item_table_ = std::make_unique<nn::EmbeddingTable>(
       &store_, "item_emb", dataset.num_items, d, &init_rng);
-  nn::AdamOptions adam;
-  adam.learning_rate = hparams_.learning_rate;
-  adam.l2 = hparams_.l2;
-  nn::AdamOptimizer optimizer(store_.parameters(), adam);
-
-  const auto all_positives = dataset.BuildAllPositives();
-  fitted_ = true;
-
-  models::ParallelTrainer trainer(options, &store_, &optimizer);
-  auto loss_fn = [&](const models::TrainBatch& batch, Rng* /*rng*/) {
-    autograd::Variable vu = user_table_->Lookup(batch.users);
-    autograd::Variable vpos = item_table_->Lookup(batch.positive_items);
-    autograd::Variable vneg = item_table_->Lookup(batch.negative_items);
-    return autograd::BPRLoss(autograd::RowDot(vu, vpos),
-                             autograd::RowDot(vu, vneg));
-  };
-  auto run_epoch = [&](int64_t /*epoch*/, Rng* rng) {
-    return trainer.RunEpoch(dataset.train, all_positives, dataset.num_items,
-                            rng, loss_fn);
-  };
-
-  return models::RunTrainingLoop(this, &store_, &optimizer, dataset, options,
-                                 run_epoch, &stats_);
+  return Status::OK();
 }
 
-void BprMf::ScorePairs(const std::vector<int64_t>& users,
-                       const std::vector<int64_t>& items,
-                       std::vector<float>* out) {
-  CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
-  CGKGR_CHECK(users.size() == items.size() && out != nullptr);
+autograd::Variable BprMf::BatchLoss(const models::TrainBatch& batch,
+                                    Rng* /*rng*/) {
+  autograd::Variable vu = user_table_->Lookup(batch.users);
+  autograd::Variable vpos = item_table_->Lookup(batch.positive_items);
+  autograd::Variable vneg = item_table_->Lookup(batch.negative_items);
+  return autograd::BPRLoss(autograd::RowDot(vu, vpos),
+                           autograd::RowDot(vu, vneg));
+}
+
+void BprMf::ScoreChunk(std::span<const int64_t> users,
+                       std::span<const int64_t> items, Rng* /*rng*/,
+                       std::span<float> out) {
   // Pure dot products: read the tables directly, no tape needed.
   const tensor::Tensor& u = user_table_->table().value();
   const tensor::Tensor& i = item_table_->table().value();
   const int64_t d = hparams_.embedding_dim;
-  out->resize(users.size());
   for (size_t p = 0; p < users.size(); ++p) {
-    (*out)[p] = tensor::Dot(d, u.data() + users[p] * d,
-                            i.data() + items[p] * d);
+    out[p] = tensor::Dot(d, u.data() + users[p] * d, i.data() + items[p] * d);
   }
-}
-
-// Persistence: every parameter in creation order
-// under one named section (validated on load).
-void BprMf::SaveState(ckpt::Writer* writer) const {
-  CGKGR_CHECK_MSG(fitted_, "SaveState before Fit");
-  writer->BeginSection("model/" + name());
-  ckpt::WriteParameterStore(store_, writer);
-}
-
-Status BprMf::LoadState(ckpt::Reader* reader) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadState before Fit/Prepare: " + name());
-  }
-  CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadParameterStore(reader, &store_));
-  return Status::OK();
 }
 
 }  // namespace baselines

@@ -2,8 +2,8 @@
 #define CGKGR_BASELINES_BPRMF_H_
 
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "data/presets.h"
 #include "models/recommender.h"
@@ -21,26 +21,16 @@ class BprMf : public models::RecommenderModel {
 
   std::string name() const override { return "BPRMF"; }
 
-  Status Fit(const data::Dataset& dataset,
-             const models::TrainOptions& options) override;
-
-  void ScorePairs(const std::vector<int64_t>& users,
-                  const std::vector<int64_t>& items,
-                  std::vector<float>* out) override;
-
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
-
-  /// Read-only access to the learned tables (KGAT pre-trains from these,
-  /// as the paper recommends).
-  const nn::EmbeddingTable& user_table() const { return *user_table_; }
-  const nn::EmbeddingTable& item_table() const { return *item_table_; }
+ protected:
+  Status Build(const data::Dataset& dataset, uint64_t seed) override;
+  autograd::Variable BatchLoss(const models::TrainBatch& batch,
+                               Rng* rng) override;
+  void ScoreChunk(std::span<const int64_t> users,
+                  std::span<const int64_t> items, Rng* rng,
+                  std::span<float> out) override;
 
  private:
   data::PresetHyperParams hparams_;
-  bool fitted_ = false;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> user_table_;
   std::unique_ptr<nn::EmbeddingTable> item_table_;
 };

@@ -1,11 +1,10 @@
 #include "baselines/ckan.h"
 
-#include "ckpt/checkpoint.h"
+#include <algorithm>
+
 #include "autograd/ops.h"
 #include "common/macros.h"
-#include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
-#include "nn/adam.h"
 
 namespace cgkgr {
 namespace baselines {
@@ -14,10 +13,12 @@ namespace {
 using autograd::Variable;
 }  // namespace
 
-Ckan::Ckan(const data::PresetHyperParams& hparams) : hparams_(hparams) {}
+Ckan::Ckan(const data::PresetHyperParams& hparams)
+    : RecommenderModel(hparams.learning_rate, hparams.l2,
+                       0x636B616E0000EEEEULL),
+      hparams_(hparams) {}
 
-Status Ckan::Fit(const data::Dataset& dataset,
-                 const models::TrainOptions& options) {
+Status Ckan::Build(const data::Dataset& dataset, uint64_t seed) {
   if (dataset.kg.empty()) {
     return Status::InvalidArgument("CKAN requires a knowledge graph");
   }
@@ -27,8 +28,7 @@ Status Ckan::Fit(const data::Dataset& dataset,
       dataset.BuildTrainGraph());
   kg_ = std::make_unique<graph::KnowledgeGraph>(dataset.BuildKnowledgeGraph());
 
-  store_ = nn::ParameterStore();
-  Rng init_rng(options.seed ^ 0x636B616E00000001ULL);
+  Rng init_rng(seed ^ 0x636B616E00000001ULL);
   entity_table_ = std::make_unique<nn::EmbeddingTable>(
       &store_, "entity_emb", dataset.num_entities, d, &init_rng);
   relation_emb_ = store_.Create("relation_emb", {kg_->relation_id_space(), d},
@@ -37,37 +37,13 @@ Status Ckan::Fit(const data::Dataset& dataset,
       &store_, "att_hidden", 3 * d, d, nn::Activation::kLeakyRelu, &init_rng);
   att_out_ = std::make_unique<nn::Dense>(&store_, "att_out", d, 1,
                                          nn::Activation::kIdentity, &init_rng);
+  return Status::OK();
+}
 
-  nn::AdamOptions adam;
-  adam.learning_rate = hparams_.learning_rate;
-  adam.l2 = hparams_.l2;
-  nn::AdamOptimizer optimizer(store_.parameters(), adam);
-
-  const auto all_positives = dataset.BuildAllPositives();
-  fitted_ = true;
-  eval_seed_ = options.seed ^ 0x636B616E0000EEEEULL;
-
-  models::ParallelTrainer trainer(options, &store_, &optimizer);
-  auto loss_fn = [&](const models::TrainBatch& batch, Rng* rng) {
-    std::vector<int64_t> users = batch.users;
-    users.insert(users.end(), batch.users.begin(), batch.users.end());
-    std::vector<int64_t> items = batch.positive_items;
-    items.insert(items.end(), batch.negative_items.begin(),
-                 batch.negative_items.end());
-    Variable scores = Forward(users, items, rng);
-    std::vector<float> labels(users.size(), 0.0f);
-    std::fill(labels.begin(),
-              labels.begin() + static_cast<int64_t>(batch.users.size()),
-              1.0f);
-    return autograd::BCEWithLogits(scores, std::move(labels));
-  };
-  auto run_epoch = [&](int64_t /*epoch*/, Rng* rng) {
-    return trainer.RunEpoch(dataset.train, all_positives, dataset.num_items,
-                            rng, loss_fn);
-  };
-
-  return models::RunTrainingLoop(this, &store_, &optimizer, dataset, options,
-                                 run_epoch, &stats_);
+Variable Ckan::BatchLoss(const models::TrainBatch& batch, Rng* rng) {
+  LabelledPairs pairs = LabelPairs(batch);
+  return autograd::BCEWithLogits(Forward(pairs.users, pairs.items, rng),
+                                 std::move(pairs.labels));
 }
 
 Variable Ckan::PropagateHops(const graph::NodeFlow& flow,
@@ -127,43 +103,12 @@ Variable Ckan::Forward(const std::vector<int64_t>& users,
   return autograd::RowDot(user_repr, item_repr);
 }
 
-void Ckan::ScorePairs(const std::vector<int64_t>& users,
-                      const std::vector<int64_t>& items,
-                      std::vector<float>* out) {
-  CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
-  CGKGR_CHECK(users.size() == items.size() && out != nullptr);
-  autograd::NoGradGuard no_grad;
-  Rng rng(eval_seed_);
-  out->resize(users.size());
-  constexpr size_t kChunk = 1024;
-  std::vector<int64_t> chunk_users;
-  std::vector<int64_t> chunk_items;
-  for (size_t begin = 0; begin < users.size(); begin += kChunk) {
-    const size_t end = std::min(users.size(), begin + kChunk);
-    chunk_users.assign(users.begin() + begin, users.begin() + end);
-    chunk_items.assign(items.begin() + begin, items.begin() + end);
-    Variable scores = Forward(chunk_users, chunk_items, &rng);
-    for (size_t i = begin; i < end; ++i) {
-      (*out)[i] = scores.value()[static_cast<int64_t>(i - begin)];
-    }
-  }
-}
-
-// Persistence: every parameter in creation order under one named section
-// (validated on load). ScorePairs reseeds its sampling stream per call from
-// eval_seed_, so there is no stateful inference RNG to serialize.
-void Ckan::SaveState(ckpt::Writer* writer) const {
-  CGKGR_CHECK_MSG(fitted_, "SaveState before Fit");
-  writer->BeginSection("model/" + name());
-  ckpt::WriteParameterStore(store_, writer);
-}
-
-Status Ckan::LoadState(ckpt::Reader* reader) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadState before Fit/Prepare: " + name());
-  }
-  CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  return ckpt::ReadParameterStore(reader, &store_);
+void Ckan::ScoreChunk(std::span<const int64_t> users,
+                      std::span<const int64_t> items, Rng* rng,
+                      std::span<float> out) {
+  const Variable scores = Forward({users.begin(), users.end()},
+                                  {items.begin(), items.end()}, rng);
+  std::copy_n(scores.value().data(), out.size(), out.begin());
 }
 
 }  // namespace baselines

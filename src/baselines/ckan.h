@@ -2,6 +2,7 @@
 #define CGKGR_BASELINES_CKAN_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,16 +27,13 @@ class Ckan : public models::RecommenderModel {
 
   std::string name() const override { return "CKAN"; }
 
-  Status Fit(const data::Dataset& dataset,
-             const models::TrainOptions& options) override;
-
-  void ScorePairs(const std::vector<int64_t>& users,
-                  const std::vector<int64_t>& items,
-                  std::vector<float>* out) override;
-
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
+ protected:
+  Status Build(const data::Dataset& dataset, uint64_t seed) override;
+  autograd::Variable BatchLoss(const models::TrainBatch& batch,
+                               Rng* rng) override;
+  void ScoreChunk(std::span<const int64_t> users,
+                  std::span<const int64_t> items, Rng* rng,
+                  std::span<float> out) override;
 
  private:
   autograd::Variable Forward(const std::vector<int64_t>& users,
@@ -48,18 +46,13 @@ class Ckan : public models::RecommenderModel {
                                    int64_t batch);
 
   data::PresetHyperParams hparams_;
-  bool fitted_ = false;
   int64_t depth_ = 1;
   std::unique_ptr<graph::InteractionGraph> train_graph_;
   std::unique_ptr<graph::KnowledgeGraph> kg_;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> entity_table_;
   autograd::Variable relation_emb_;  // (R + 1, d)
   std::unique_ptr<nn::Dense> att_hidden_;  // (3d -> d), LeakyReLU
   std::unique_ptr<nn::Dense> att_out_;     // (d -> 1)
-  /// Seed for inference-time sampling; ScorePairs draws a fresh stream per
-  /// call, so identical calls on an identical model score identically.
-  uint64_t eval_seed_ = 0;
 };
 
 }  // namespace baselines

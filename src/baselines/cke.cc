@@ -1,11 +1,9 @@
 #include "baselines/cke.h"
 
-#include "ckpt/checkpoint.h"
+#include <algorithm>
+
 #include "autograd/ops.h"
-#include "common/macros.h"
-#include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
-#include "nn/adam.h"
 
 namespace cgkgr {
 namespace baselines {
@@ -17,18 +15,18 @@ using autograd::Variable;
 constexpr float kKgLossWeight = 0.5f;
 }  // namespace
 
-Cke::Cke(const data::PresetHyperParams& hparams) : hparams_(hparams) {}
+Cke::Cke(const data::PresetHyperParams& hparams)
+    : RecommenderModel(hparams.learning_rate, hparams.l2),
+      hparams_(hparams) {}
 
-Status Cke::Fit(const data::Dataset& dataset,
-                const models::TrainOptions& options) {
+Status Cke::Build(const data::Dataset& dataset, uint64_t seed) {
   if (dataset.kg.empty()) {
     return Status::InvalidArgument("CKE requires a knowledge graph");
   }
   const int64_t d = hparams_.embedding_dim;
   num_entities_ = dataset.num_entities;
   kg_triplets_ = dataset.kg;
-  store_ = nn::ParameterStore();
-  Rng init_rng(options.seed ^ 0xCCE0000000000001ULL);
+  Rng init_rng(seed ^ 0xCCE0000000000001ULL);
   user_table_ = std::make_unique<nn::EmbeddingTable>(
       &store_, "user_emb", dataset.num_users, d, &init_rng);
   item_offset_table_ = std::make_unique<nn::EmbeddingTable>(
@@ -40,59 +38,37 @@ Status Cke::Fit(const data::Dataset& dataset,
   relation_matrices_ = store_.Create("relation_mat",
                                      {dataset.num_relations, d, d},
                                      nn::Init::kXavierUniform, &init_rng);
+  return Status::OK();
+}
 
-  nn::AdamOptions adam;
-  adam.learning_rate = hparams_.learning_rate;
-  adam.l2 = hparams_.l2;
-  nn::AdamOptimizer optimizer(store_.parameters(), adam);
+Variable Cke::BatchLoss(const models::TrainBatch& batch, Rng* rng) {
+  const size_t b = batch.users.size();
+  // Recommendation part: BCE over positives and negatives.
+  LabelledPairs pairs = LabelPairs(batch);
+  Variable scores = autograd::RowDot(user_table_->Lookup(pairs.users),
+                                     ItemRepr(pairs.items));
+  Variable loss = autograd::BCEWithLogits(scores, std::move(pairs.labels));
 
-  const auto all_positives = dataset.BuildAllPositives();
-  fitted_ = true;
-
-  models::ParallelTrainer trainer(options, &store_, &optimizer);
-  auto loss_fn = [&](const models::TrainBatch& batch, Rng* rng) {
-    const size_t b = batch.users.size();
-    // Recommendation part: BCE over positives and negatives.
-    std::vector<int64_t> users = batch.users;
-    users.insert(users.end(), batch.users.begin(), batch.users.end());
-    std::vector<int64_t> items = batch.positive_items;
-    items.insert(items.end(), batch.negative_items.begin(),
-                 batch.negative_items.end());
-    Variable scores =
-        autograd::RowDot(user_table_->Lookup(users), ItemRepr(items));
-    std::vector<float> labels(users.size(), 0.0f);
-    std::fill(labels.begin(), labels.begin() + static_cast<int64_t>(b),
-              1.0f);
-    Variable loss = autograd::BCEWithLogits(scores, std::move(labels));
-
-    // TransR part on a same-size sample of triplets with corrupted
-    // tails as negatives.
-    std::vector<int64_t> heads;
-    std::vector<int64_t> rels;
-    std::vector<int64_t> tails;
-    std::vector<int64_t> corrupt_tails;
-    for (size_t i = 0; i < b; ++i) {
-      const graph::Triplet& t =
-          kg_triplets_[rng->UniformInt(kg_triplets_.size())];
-      heads.push_back(t.head);
-      rels.push_back(t.relation);
-      tails.push_back(t.tail);
-      corrupt_tails.push_back(static_cast<int64_t>(
-          rng->UniformInt(static_cast<uint64_t>(num_entities_))));
-    }
-    Variable pos_distance = TransRDistance(heads, rels, tails);
-    Variable neg_distance = TransRDistance(heads, rels, corrupt_tails);
-    // Margin-free soft ranking loss: softplus(d_pos - d_neg).
-    Variable kg_loss = autograd::BPRLoss(neg_distance, pos_distance);
-    return autograd::Add(loss, autograd::Scale(kg_loss, kKgLossWeight));
-  };
-  auto run_epoch = [&](int64_t /*epoch*/, Rng* rng) {
-    return trainer.RunEpoch(dataset.train, all_positives, dataset.num_items,
-                            rng, loss_fn);
-  };
-
-  return models::RunTrainingLoop(this, &store_, &optimizer, dataset, options,
-                                 run_epoch, &stats_);
+  // TransR part on a same-size sample of triplets with corrupted
+  // tails as negatives.
+  std::vector<int64_t> heads;
+  std::vector<int64_t> rels;
+  std::vector<int64_t> tails;
+  std::vector<int64_t> corrupt_tails;
+  for (size_t i = 0; i < b; ++i) {
+    const graph::Triplet& t =
+        kg_triplets_[rng->UniformInt(kg_triplets_.size())];
+    heads.push_back(t.head);
+    rels.push_back(t.relation);
+    tails.push_back(t.tail);
+    corrupt_tails.push_back(static_cast<int64_t>(
+        rng->UniformInt(static_cast<uint64_t>(num_entities_))));
+  }
+  Variable pos_distance = TransRDistance(heads, rels, tails);
+  Variable neg_distance = TransRDistance(heads, rels, corrupt_tails);
+  // Margin-free soft ranking loss: softplus(d_pos - d_neg).
+  Variable kg_loss = autograd::BPRLoss(neg_distance, pos_distance);
+  return autograd::Add(loss, autograd::Scale(kg_loss, kKgLossWeight));
 }
 
 Variable Cke::ItemRepr(const std::vector<int64_t>& items) {
@@ -113,33 +89,13 @@ Variable Cke::TransRDistance(const std::vector<int64_t>& heads,
   return autograd::RowDot(diff, diff);
 }
 
-void Cke::ScorePairs(const std::vector<int64_t>& users,
-                     const std::vector<int64_t>& items,
-                     std::vector<float>* out) {
-  CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
-  CGKGR_CHECK(users.size() == items.size() && out != nullptr);
-  autograd::NoGradGuard no_grad;
-  Variable scores =
-      autograd::RowDot(user_table_->Lookup(users), ItemRepr(items));
-  out->assign(scores.value().data(),
-              scores.value().data() + scores.value().size());
-}
-
-// Persistence: every parameter in creation order
-// under one named section (validated on load).
-void Cke::SaveState(ckpt::Writer* writer) const {
-  CGKGR_CHECK_MSG(fitted_, "SaveState before Fit");
-  writer->BeginSection("model/" + name());
-  ckpt::WriteParameterStore(store_, writer);
-}
-
-Status Cke::LoadState(ckpt::Reader* reader) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadState before Fit/Prepare: " + name());
-  }
-  CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadParameterStore(reader, &store_));
-  return Status::OK();
+void Cke::ScoreChunk(std::span<const int64_t> users,
+                     std::span<const int64_t> items, Rng* /*rng*/,
+                     std::span<float> out) {
+  const Variable scores =
+      autograd::RowDot(user_table_->Lookup({users.begin(), users.end()}),
+                       ItemRepr({items.begin(), items.end()}));
+  std::copy_n(scores.value().data(), out.size(), out.begin());
 }
 
 }  // namespace baselines

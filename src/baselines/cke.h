@@ -2,6 +2,7 @@
 #define CGKGR_BASELINES_CKE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,16 +25,13 @@ class Cke : public models::RecommenderModel {
 
   std::string name() const override { return "CKE"; }
 
-  Status Fit(const data::Dataset& dataset,
-             const models::TrainOptions& options) override;
-
-  void ScorePairs(const std::vector<int64_t>& users,
-                  const std::vector<int64_t>& items,
-                  std::vector<float>* out) override;
-
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
+ protected:
+  Status Build(const data::Dataset& dataset, uint64_t seed) override;
+  autograd::Variable BatchLoss(const models::TrainBatch& batch,
+                               Rng* rng) override;
+  void ScoreChunk(std::span<const int64_t> users,
+                  std::span<const int64_t> items, Rng* rng,
+                  std::span<float> out) override;
 
  private:
   autograd::Variable ItemRepr(const std::vector<int64_t>& items);
@@ -44,10 +42,8 @@ class Cke : public models::RecommenderModel {
                                     const std::vector<int64_t>& tails);
 
   data::PresetHyperParams hparams_;
-  bool fitted_ = false;
   int64_t num_entities_ = 0;
   std::vector<graph::Triplet> kg_triplets_;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> user_table_;
   std::unique_ptr<nn::EmbeddingTable> item_offset_table_;
   std::unique_ptr<nn::EmbeddingTable> entity_table_;

@@ -1,11 +1,10 @@
 #include "baselines/kgat.h"
 
-#include "ckpt/checkpoint.h"
+#include <algorithm>
+
 #include "autograd/ops.h"
 #include "common/macros.h"
-#include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
-#include "nn/adam.h"
 
 namespace cgkgr {
 namespace baselines {
@@ -16,10 +15,12 @@ using autograd::Variable;
 constexpr float kKgLossWeight = 0.5f;
 }  // namespace
 
-Kgat::Kgat(const data::PresetHyperParams& hparams) : hparams_(hparams) {}
+Kgat::Kgat(const data::PresetHyperParams& hparams)
+    : RecommenderModel(hparams.learning_rate, hparams.l2,
+                       0x6B6761740000EEEEULL),
+      hparams_(hparams) {}
 
-Status Kgat::Fit(const data::Dataset& dataset,
-                 const models::TrainOptions& options) {
+Status Kgat::Build(const data::Dataset& dataset, uint64_t seed) {
   if (dataset.kg.empty()) {
     return Status::InvalidArgument("KGAT requires a knowledge graph");
   }
@@ -39,8 +40,7 @@ Status Kgat::Fit(const data::Dataset& dataset,
       num_entities_ + num_users_, dataset.num_relations + 1,
       unified_triplets_);
 
-  store_ = nn::ParameterStore();
-  Rng init_rng(options.seed ^ 0x6B67617400000001ULL);
+  Rng init_rng(seed ^ 0x6B67617400000001ULL);
   node_table_ = std::make_unique<nn::EmbeddingTable>(
       &store_, "node_emb", num_entities_ + num_users_, d, &init_rng);
   relation_emb_ =
@@ -59,71 +59,56 @@ Status Kgat::Fit(const data::Dataset& dataset,
         &store_, "bi_mul/hop" + std::to_string(l), d, d,
         nn::Activation::kLeakyRelu, &init_rng));
   }
+  return Status::OK();
+}
 
-  nn::AdamOptions adam;
-  adam.learning_rate = hparams_.learning_rate;
-  adam.l2 = hparams_.l2;
-  nn::AdamOptimizer optimizer(store_.parameters(), adam);
+analysis::TapeLintOptions Kgat::OnEpochStart(int64_t epoch) {
+  pretrain_ = epoch == 1;
+  // The warm-up epoch intentionally bypasses Propagate, so the
+  // bi-interaction layers are declared frozen for lint purposes.
+  analysis::TapeLintOptions lint_options;
+  if (pretrain_) lint_options.expected_frozen = {"bi_add/", "bi_mul/"};
+  return lint_options;
+}
 
-  const auto all_positives = dataset.BuildAllPositives();
-  fitted_ = true;
-  eval_seed_ = options.seed ^ 0x6B6761740000EEEEULL;
+Variable Kgat::BatchLoss(const models::TrainBatch& batch, Rng* rng) {
+  const size_t b = batch.users.size();
+  std::vector<int64_t> user_nodes;
+  user_nodes.reserve(b);
+  for (int64_t u : batch.users) user_nodes.push_back(UserNode(u));
 
-  bool pretrain = false;  // epoch 1: BPRMF-style warm start
-  models::ParallelTrainer trainer(options, &store_, &optimizer);
-  auto loss_fn = [&](const models::TrainBatch& batch, Rng* rng) {
-    const size_t b = batch.users.size();
-    std::vector<int64_t> user_nodes;
-    user_nodes.reserve(b);
-    for (int64_t u : batch.users) user_nodes.push_back(UserNode(u));
+  Variable vu;
+  Variable vpos;
+  Variable vneg;
+  if (pretrain_) {
+    vu = node_table_->Lookup(user_nodes);
+    vpos = node_table_->Lookup(batch.positive_items);
+    vneg = node_table_->Lookup(batch.negative_items);
+  } else {
+    vu = Propagate(user_nodes, rng);
+    vpos = Propagate(batch.positive_items, rng);
+    vneg = Propagate(batch.negative_items, rng);
+  }
+  Variable loss = autograd::BPRLoss(autograd::RowDot(vu, vpos),
+                                    autograd::RowDot(vu, vneg));
 
-    Variable vu;
-    Variable vpos;
-    Variable vneg;
-    if (pretrain) {
-      vu = node_table_->Lookup(user_nodes);
-      vpos = node_table_->Lookup(batch.positive_items);
-      vneg = node_table_->Lookup(batch.negative_items);
-    } else {
-      vu = Propagate(user_nodes, rng);
-      vpos = Propagate(batch.positive_items, rng);
-      vneg = Propagate(batch.negative_items, rng);
-    }
-    Variable loss = autograd::BPRLoss(autograd::RowDot(vu, vpos),
-                                      autograd::RowDot(vu, vneg));
-
-    // TransR loss over unified triplets with corrupted tails.
-    std::vector<int64_t> heads;
-    std::vector<int64_t> rels;
-    std::vector<int64_t> tails;
-    std::vector<int64_t> corrupt;
-    for (size_t i = 0; i < b; ++i) {
-      const graph::Triplet& t =
-          unified_triplets_[rng->UniformInt(unified_triplets_.size())];
-      heads.push_back(t.head);
-      rels.push_back(t.relation);
-      tails.push_back(t.tail);
-      corrupt.push_back(static_cast<int64_t>(rng->UniformInt(
-          static_cast<uint64_t>(num_entities_ + num_users_))));
-    }
-    Variable kg_loss = autograd::BPRLoss(TransRDistance(heads, rels, corrupt),
-                                         TransRDistance(heads, rels, tails));
-    return autograd::Add(loss, autograd::Scale(kg_loss, kKgLossWeight));
-  };
-  auto run_epoch = [&](int64_t epoch, Rng* rng) {
-    // Derived from the loop's true epoch number (not a captured counter) so
-    // the warm-up stage is not replayed after a checkpoint resume.
-    pretrain = epoch == 1;
-    // The warm-up epoch intentionally bypasses Propagate, so the
-    // bi-interaction layers are declared frozen for lint purposes.
-    analysis::TapeLintOptions lint_options;
-    if (pretrain) lint_options.expected_frozen = {"bi_add/", "bi_mul/"};
-    return trainer.RunEpoch(dataset.train, all_positives, dataset.num_items,
-                            rng, loss_fn, lint_options);
-  };
-
-  return models::RunTrainingLoop(this, &store_, &optimizer, dataset, options,
-                                 run_epoch, &stats_);
+  // TransR loss over unified triplets with corrupted tails.
+  std::vector<int64_t> heads;
+  std::vector<int64_t> rels;
+  std::vector<int64_t> tails;
+  std::vector<int64_t> corrupt;
+  for (size_t i = 0; i < b; ++i) {
+    const graph::Triplet& t =
+        unified_triplets_[rng->UniformInt(unified_triplets_.size())];
+    heads.push_back(t.head);
+    rels.push_back(t.relation);
+    tails.push_back(t.tail);
+    corrupt.push_back(static_cast<int64_t>(rng->UniformInt(
+        static_cast<uint64_t>(num_entities_ + num_users_))));
+  }
+  Variable kg_loss = autograd::BPRLoss(TransRDistance(heads, rels, corrupt),
+                                       TransRDistance(heads, rels, tails));
+  return autograd::Add(loss, autograd::Scale(kg_loss, kKgLossWeight));
 }
 
 Variable Kgat::Propagate(const std::vector<int64_t>& nodes, Rng* rng) {
@@ -179,47 +164,16 @@ Variable Kgat::TransRDistance(const std::vector<int64_t>& heads,
   return autograd::RowDot(diff, diff);
 }
 
-void Kgat::ScorePairs(const std::vector<int64_t>& users,
-                      const std::vector<int64_t>& items,
-                      std::vector<float>* out) {
-  CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
-  CGKGR_CHECK(users.size() == items.size() && out != nullptr);
-  autograd::NoGradGuard no_grad;
-  Rng rng(eval_seed_);
-  out->resize(users.size());
-  constexpr size_t kChunk = 1024;
+void Kgat::ScoreChunk(std::span<const int64_t> users,
+                      std::span<const int64_t> items, Rng* rng,
+                      std::span<float> out) {
   std::vector<int64_t> user_nodes;
-  std::vector<int64_t> chunk_items;
-  for (size_t begin = 0; begin < users.size(); begin += kChunk) {
-    const size_t end = std::min(users.size(), begin + kChunk);
-    user_nodes.clear();
-    for (size_t i = begin; i < end; ++i) user_nodes.push_back(
-        UserNode(users[i]));
-    chunk_items.assign(items.begin() + begin, items.begin() + end);
-    Variable vu = Propagate(user_nodes, &rng);
-    Variable vi = Propagate(chunk_items, &rng);
-    Variable scores = autograd::RowDot(vu, vi);
-    for (size_t i = begin; i < end; ++i) {
-      (*out)[i] = scores.value()[static_cast<int64_t>(i - begin)];
-    }
-  }
-}
-
-// Persistence: every parameter in creation order under one named section
-// (validated on load). ScorePairs reseeds its sampling stream per call from
-// eval_seed_, so there is no stateful inference RNG to serialize.
-void Kgat::SaveState(ckpt::Writer* writer) const {
-  CGKGR_CHECK_MSG(fitted_, "SaveState before Fit");
-  writer->BeginSection("model/" + name());
-  ckpt::WriteParameterStore(store_, writer);
-}
-
-Status Kgat::LoadState(ckpt::Reader* reader) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadState before Fit/Prepare: " + name());
-  }
-  CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  return ckpt::ReadParameterStore(reader, &store_);
+  user_nodes.reserve(users.size());
+  for (int64_t u : users) user_nodes.push_back(UserNode(u));
+  Variable vu = Propagate(user_nodes, rng);
+  Variable vi = Propagate({items.begin(), items.end()}, rng);
+  const Variable scores = autograd::RowDot(vu, vi);
+  std::copy_n(scores.value().data(), out.size(), out.begin());
 }
 
 }  // namespace baselines

@@ -2,6 +2,7 @@
 #define CGKGR_BASELINES_KGAT_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,16 +34,16 @@ class Kgat : public models::RecommenderModel {
 
   std::string name() const override { return "KGAT"; }
 
-  Status Fit(const data::Dataset& dataset,
-             const models::TrainOptions& options) override;
-
-  void ScorePairs(const std::vector<int64_t>& users,
-                  const std::vector<int64_t>& items,
-                  std::vector<float>* out) override;
-
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
+ protected:
+  Status Build(const data::Dataset& dataset, uint64_t seed) override;
+  autograd::Variable BatchLoss(const models::TrainBatch& batch,
+                               Rng* rng) override;
+  void ScoreChunk(std::span<const int64_t> users,
+                  std::span<const int64_t> items, Rng* rng,
+                  std::span<float> out) override;
+  /// Epoch 1 is the BPRMF-style warm start, whose bi-interaction layers
+  /// are declared frozen for the tape lint.
+  analysis::TapeLintOptions OnEpochStart(int64_t epoch) override;
 
  private:
   /// Node id of a user in the unified graph (entities come first).
@@ -58,20 +59,17 @@ class Kgat : public models::RecommenderModel {
                                     const std::vector<int64_t>& tails);
 
   data::PresetHyperParams hparams_;
-  bool fitted_ = false;
+  /// True during the warm-up epoch (set by OnEpochStart).
+  bool pretrain_ = false;
   int64_t num_entities_ = 0;
   int64_t num_users_ = 0;
   std::unique_ptr<graph::KnowledgeGraph> unified_;
   std::vector<graph::Triplet> unified_triplets_;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> node_table_;  // entities then users
   autograd::Variable relation_emb_;       // (R + 2, d)
   autograd::Variable relation_matrices_;  // (R + 2, d, d)
   std::vector<std::unique_ptr<nn::Dense>> w1_;  // bi-interaction, per hop
   std::vector<std::unique_ptr<nn::Dense>> w2_;
-  /// Seed for inference-time sampling; ScorePairs draws a fresh stream per
-  /// call, so identical calls on an identical model score identically.
-  uint64_t eval_seed_ = 0;
 };
 
 }  // namespace baselines

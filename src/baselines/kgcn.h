@@ -2,13 +2,13 @@
 #define CGKGR_BASELINES_KGCN_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "data/presets.h"
 #include "graph/sampler.h"
 #include "models/recommender.h"
-#include "models/trainer_util.h"
 #include "nn/dense.h"
 #include "nn/embedding.h"
 
@@ -27,18 +27,15 @@ class Kgcn : public models::RecommenderModel {
 
   std::string name() const override { return name_; }
 
-  Status Fit(const data::Dataset& dataset,
-             const models::TrainOptions& options) override;
-
-  void ScorePairs(const std::vector<int64_t>& users,
-                  const std::vector<int64_t>& items,
-                  std::vector<float>* out) override;
-
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
-
  protected:
+  Status Build(const data::Dataset& dataset, uint64_t seed) override;
+  /// BCE over the batch; KGNN-LS adds its label-smoothness term.
+  autograd::Variable BatchLoss(const models::TrainBatch& batch,
+                               Rng* rng) override;
+  void ScoreChunk(std::span<const int64_t> users,
+                  std::span<const int64_t> items, Rng* rng,
+                  std::span<float> out) override;
+
   /// Scores for a sampled batch. When `ls_prediction` is non-null (used by
   /// the KGNN-LS subclass), the label-propagation estimate of the seed
   /// item's label is written there as a (B) Variable.
@@ -46,23 +43,14 @@ class Kgcn : public models::RecommenderModel {
                              const std::vector<int64_t>& items, Rng* rng,
                              autograd::Variable* ls_prediction);
 
-  /// One mini-batch loss; KGNN-LS overrides this to add label smoothness.
-  virtual autograd::Variable ComputeBatchLoss(const models::TrainBatch& batch,
-                                              Rng* rng);
-
   data::PresetHyperParams hparams_;
   std::string name_;
-  bool fitted_ = false;
   std::unique_ptr<graph::InteractionGraph> train_graph_;
   std::unique_ptr<graph::KnowledgeGraph> kg_;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> user_table_;
   std::unique_ptr<nn::EmbeddingTable> entity_table_;
   autograd::Variable relation_emb_;  // (R + 1, d)
   std::vector<std::unique_ptr<nn::Dense>> layers_;  // [0] = final hop
-  /// Seed for inference-time sampling; ScorePairs draws a fresh stream per
-  /// call, so identical calls on an identical model score identically.
-  uint64_t eval_seed_ = 0;
 };
 
 }  // namespace baselines

@@ -21,29 +21,19 @@ data::PresetHyperParams WithMinLsDepth(data::PresetHyperParams hparams) {
 KgnnLs::KgnnLs(const data::PresetHyperParams& hparams)
     : Kgcn(WithMinLsDepth(hparams), "KGNN-LS") {}
 
-Variable KgnnLs::ComputeBatchLoss(const models::TrainBatch& batch, Rng* rng) {
-  std::vector<int64_t> users = batch.users;
-  users.insert(users.end(), batch.users.begin(), batch.users.end());
-  std::vector<int64_t> items = batch.positive_items;
-  items.insert(items.end(), batch.negative_items.begin(),
-               batch.negative_items.end());
-
+Variable KgnnLs::BatchLoss(const models::TrainBatch& batch, Rng* rng) {
+  LabelledPairs pairs = LabelPairs(batch);
   Variable ls_prediction;
-  Variable scores = Forward(users, items, rng, &ls_prediction);
-
-  std::vector<float> labels(users.size(), 0.0f);
-  std::fill(labels.begin(),
-            labels.begin() + static_cast<int64_t>(batch.users.size()), 1.0f);
+  Variable scores = Forward(pairs.users, pairs.items, rng, &ls_prediction);
 
   // Squared-error label smoothness: the propagated label estimate of each
   // held-out seed should match the pair's true label.
-  Variable targets =
-      autograd::Constant(tensor::Tensor({static_cast<int64_t>(labels.size())},
-                                        labels));
+  Variable targets = autograd::Constant(tensor::Tensor(
+      {static_cast<int64_t>(pairs.labels.size())}, pairs.labels));
   Variable residual = autograd::Sub(ls_prediction, targets);
   Variable ls_loss = autograd::Mean(autograd::Mul(residual, residual));
 
-  Variable bce = autograd::BCEWithLogits(scores, std::move(labels));
+  Variable bce = autograd::BCEWithLogits(scores, std::move(pairs.labels));
   return autograd::Add(bce, autograd::Scale(ls_loss, ls_weight_));
 }
 

@@ -18,8 +18,8 @@ class KgnnLs : public Kgcn {
   explicit KgnnLs(const data::PresetHyperParams& hparams);
 
  protected:
-  autograd::Variable ComputeBatchLoss(const models::TrainBatch& batch,
-                                      Rng* rng) override;
+  autograd::Variable BatchLoss(const models::TrainBatch& batch,
+                               Rng* rng) override;
 
  private:
   /// Weight of the label-smoothness term.

@@ -1,11 +1,9 @@
 #include "baselines/nfm.h"
 
-#include "ckpt/checkpoint.h"
+#include <algorithm>
+
 #include "autograd/ops.h"
-#include "common/macros.h"
-#include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
-#include "nn/adam.h"
 
 namespace cgkgr {
 namespace baselines {
@@ -14,13 +12,13 @@ namespace {
 using autograd::Variable;
 }  // namespace
 
-Nfm::Nfm(const data::PresetHyperParams& hparams) : hparams_(hparams) {}
+Nfm::Nfm(const data::PresetHyperParams& hparams)
+    : RecommenderModel(hparams.learning_rate, hparams.l2),
+      hparams_(hparams) {}
 
-Status Nfm::Fit(const data::Dataset& dataset,
-                const models::TrainOptions& options) {
+Status Nfm::Build(const data::Dataset& dataset, uint64_t seed) {
   const int64_t d = hparams_.embedding_dim;
-  store_ = nn::ParameterStore();
-  Rng init_rng(options.seed ^ 0x4F4D4E464D000000ULL);
+  Rng init_rng(seed ^ 0x4F4D4E464D000000ULL);
   user_table_ = std::make_unique<nn::EmbeddingTable>(
       &store_, "user_emb", dataset.num_users, d, &init_rng);
   item_table_ = std::make_unique<nn::EmbeddingTable>(
@@ -35,36 +33,13 @@ Status Nfm::Fit(const data::Dataset& dataset,
                                         nn::Activation::kRelu, &init_rng);
   output_ = std::make_unique<nn::Dense>(&store_, "output", d, 1,
                                         nn::Activation::kIdentity, &init_rng);
+  return Status::OK();
+}
 
-  nn::AdamOptions adam;
-  adam.learning_rate = hparams_.learning_rate;
-  adam.l2 = hparams_.l2;
-  nn::AdamOptimizer optimizer(store_.parameters(), adam);
-
-  const auto all_positives = dataset.BuildAllPositives();
-  fitted_ = true;
-
-  models::ParallelTrainer trainer(options, &store_, &optimizer);
-  auto loss_fn = [&](const models::TrainBatch& batch, Rng* /*rng*/) {
-    std::vector<int64_t> users = batch.users;
-    users.insert(users.end(), batch.users.begin(), batch.users.end());
-    std::vector<int64_t> items = batch.positive_items;
-    items.insert(items.end(), batch.negative_items.begin(),
-                 batch.negative_items.end());
-    Variable scores = Forward(users, items);
-    std::vector<float> labels(users.size(), 0.0f);
-    std::fill(labels.begin(),
-              labels.begin() + static_cast<int64_t>(batch.users.size()),
-              1.0f);
-    return autograd::BCEWithLogits(scores, std::move(labels));
-  };
-  auto run_epoch = [&](int64_t /*epoch*/, Rng* rng) {
-    return trainer.RunEpoch(dataset.train, all_positives, dataset.num_items,
-                            rng, loss_fn);
-  };
-
-  return models::RunTrainingLoop(this, &store_, &optimizer, dataset, options,
-                                 run_epoch, &stats_);
+Variable Nfm::BatchLoss(const models::TrainBatch& batch, Rng* /*rng*/) {
+  LabelledPairs pairs = LabelPairs(batch);
+  return autograd::BCEWithLogits(Forward(pairs.users, pairs.items),
+                                 std::move(pairs.labels));
 }
 
 Variable Nfm::Forward(const std::vector<int64_t>& users,
@@ -85,32 +60,12 @@ Variable Nfm::Forward(const std::vector<int64_t>& users,
   return autograd::Add(flat, w0);
 }
 
-void Nfm::ScorePairs(const std::vector<int64_t>& users,
-                     const std::vector<int64_t>& items,
-                     std::vector<float>* out) {
-  CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
-  CGKGR_CHECK(users.size() == items.size() && out != nullptr);
-  autograd::NoGradGuard no_grad;
-  Variable scores = Forward(users, items);
-  out->assign(scores.value().data(),
-              scores.value().data() + scores.value().size());
-}
-
-// Persistence: every parameter in creation order
-// under one named section (validated on load).
-void Nfm::SaveState(ckpt::Writer* writer) const {
-  CGKGR_CHECK_MSG(fitted_, "SaveState before Fit");
-  writer->BeginSection("model/" + name());
-  ckpt::WriteParameterStore(store_, writer);
-}
-
-Status Nfm::LoadState(ckpt::Reader* reader) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadState before Fit/Prepare: " + name());
-  }
-  CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadParameterStore(reader, &store_));
-  return Status::OK();
+void Nfm::ScoreChunk(std::span<const int64_t> users,
+                     std::span<const int64_t> items, Rng* /*rng*/,
+                     std::span<float> out) {
+  const Variable scores = Forward({users.begin(), users.end()},
+                                  {items.begin(), items.end()});
+  std::copy_n(scores.value().data(), out.size(), out.begin());
 }
 
 }  // namespace baselines

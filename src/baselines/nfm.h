@@ -2,6 +2,7 @@
 #define CGKGR_BASELINES_NFM_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,24 +24,19 @@ class Nfm : public models::RecommenderModel {
 
   std::string name() const override { return "NFM"; }
 
-  Status Fit(const data::Dataset& dataset,
-             const models::TrainOptions& options) override;
-
-  void ScorePairs(const std::vector<int64_t>& users,
-                  const std::vector<int64_t>& items,
-                  std::vector<float>* out) override;
-
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
+ protected:
+  Status Build(const data::Dataset& dataset, uint64_t seed) override;
+  autograd::Variable BatchLoss(const models::TrainBatch& batch,
+                               Rng* rng) override;
+  void ScoreChunk(std::span<const int64_t> users,
+                  std::span<const int64_t> items, Rng* rng,
+                  std::span<float> out) override;
 
  private:
   autograd::Variable Forward(const std::vector<int64_t>& users,
                              const std::vector<int64_t>& items);
 
   data::PresetHyperParams hparams_;
-  bool fitted_ = false;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> user_table_;
   std::unique_ptr<nn::EmbeddingTable> item_table_;
   autograd::Variable user_bias_;  // (num_users, 1)

@@ -1,11 +1,9 @@
 #include "baselines/ripplenet.h"
 
-#include "ckpt/checkpoint.h"
+#include <algorithm>
+
 #include "autograd/ops.h"
-#include "common/macros.h"
-#include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
-#include "nn/adam.h"
 
 namespace cgkgr {
 namespace baselines {
@@ -15,10 +13,10 @@ using autograd::Variable;
 }  // namespace
 
 RippleNet::RippleNet(const data::PresetHyperParams& hparams)
-    : hparams_(hparams) {}
+    : RecommenderModel(hparams.learning_rate, hparams.l2),
+      hparams_(hparams) {}
 
-Status RippleNet::Fit(const data::Dataset& dataset,
-                      const models::TrainOptions& options) {
+Status RippleNet::Build(const data::Dataset& dataset, uint64_t seed) {
   if (dataset.kg.empty()) {
     return Status::InvalidArgument("RippleNet requires a knowledge graph");
   }
@@ -27,7 +25,7 @@ Status RippleNet::Fit(const data::Dataset& dataset,
   const graph::InteractionGraph train_graph = dataset.BuildTrainGraph();
 
   // --- precompute ripple sets from the *train* interactions ---
-  Rng ripple_rng(options.seed ^ 0x9199137319931375ULL);
+  Rng ripple_rng(seed ^ 0x9199137319931375ULL);
   ripple_sets_.assign(static_cast<size_t>(dataset.num_users), {});
   for (int64_t u = 0; u < dataset.num_users; ++u) {
     auto& hops = ripple_sets_[static_cast<size_t>(u)];
@@ -58,43 +56,19 @@ Status RippleNet::Fit(const data::Dataset& dataset,
   }
 
   // --- parameters ---
-  store_ = nn::ParameterStore();
-  Rng init_rng(options.seed ^ 0x2121212121212121ULL);
+  Rng init_rng(seed ^ 0x2121212121212121ULL);
   entity_table_ = std::make_unique<nn::EmbeddingTable>(
       &store_, "entity_emb", dataset.num_entities, d, &init_rng);
   relation_matrices_ =
       store_.Create("relation_mat", {kg.relation_id_space(), d, d},
                     nn::Init::kXavierUniform, &init_rng);
+  return Status::OK();
+}
 
-  nn::AdamOptions adam;
-  adam.learning_rate = hparams_.learning_rate;
-  adam.l2 = hparams_.l2;
-  nn::AdamOptimizer optimizer(store_.parameters(), adam);
-
-  const auto all_positives = dataset.BuildAllPositives();
-  fitted_ = true;
-
-  models::ParallelTrainer trainer(options, &store_, &optimizer);
-  auto loss_fn = [&](const models::TrainBatch& batch, Rng* /*rng*/) {
-    std::vector<int64_t> users = batch.users;
-    users.insert(users.end(), batch.users.begin(), batch.users.end());
-    std::vector<int64_t> items = batch.positive_items;
-    items.insert(items.end(), batch.negative_items.begin(),
-                 batch.negative_items.end());
-    Variable scores = Forward(users, items);
-    std::vector<float> labels(users.size(), 0.0f);
-    std::fill(labels.begin(),
-              labels.begin() + static_cast<int64_t>(batch.users.size()),
-              1.0f);
-    return autograd::BCEWithLogits(scores, std::move(labels));
-  };
-  auto run_epoch = [&](int64_t /*epoch*/, Rng* rng) {
-    return trainer.RunEpoch(dataset.train, all_positives, dataset.num_items,
-                            rng, loss_fn);
-  };
-
-  return models::RunTrainingLoop(this, &store_, &optimizer, dataset, options,
-                                 run_epoch, &stats_);
+Variable RippleNet::BatchLoss(const models::TrainBatch& batch, Rng* /*rng*/) {
+  LabelledPairs pairs = LabelPairs(batch);
+  return autograd::BCEWithLogits(Forward(pairs.users, pairs.items),
+                                 std::move(pairs.labels));
 }
 
 Variable RippleNet::Forward(const std::vector<int64_t>& users,
@@ -128,42 +102,12 @@ Variable RippleNet::Forward(const std::vector<int64_t>& users,
   return autograd::RowDot(user_repr, item_emb);
 }
 
-void RippleNet::ScorePairs(const std::vector<int64_t>& users,
-                           const std::vector<int64_t>& items,
-                           std::vector<float>* out) {
-  CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
-  CGKGR_CHECK(users.size() == items.size() && out != nullptr);
-  autograd::NoGradGuard no_grad;
-  out->resize(users.size());
-  constexpr size_t kChunk = 2048;
-  std::vector<int64_t> chunk_users;
-  std::vector<int64_t> chunk_items;
-  for (size_t begin = 0; begin < users.size(); begin += kChunk) {
-    const size_t end = std::min(users.size(), begin + kChunk);
-    chunk_users.assign(users.begin() + begin, users.begin() + end);
-    chunk_items.assign(items.begin() + begin, items.begin() + end);
-    Variable scores = Forward(chunk_users, chunk_items);
-    for (size_t i = begin; i < end; ++i) {
-      (*out)[i] = scores.value()[static_cast<int64_t>(i - begin)];
-    }
-  }
-}
-
-// Persistence: every parameter in creation order
-// under one named section (validated on load).
-void RippleNet::SaveState(ckpt::Writer* writer) const {
-  CGKGR_CHECK_MSG(fitted_, "SaveState before Fit");
-  writer->BeginSection("model/" + name());
-  ckpt::WriteParameterStore(store_, writer);
-}
-
-Status RippleNet::LoadState(ckpt::Reader* reader) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadState before Fit/Prepare: " + name());
-  }
-  CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  CGKGR_RETURN_NOT_OK(ckpt::ReadParameterStore(reader, &store_));
-  return Status::OK();
+void RippleNet::ScoreChunk(std::span<const int64_t> users,
+                           std::span<const int64_t> items, Rng* /*rng*/,
+                           std::span<float> out) {
+  const Variable scores = Forward({users.begin(), users.end()},
+                                  {items.begin(), items.end()});
+  std::copy_n(scores.value().data(), out.size(), out.begin());
 }
 
 }  // namespace baselines

@@ -2,6 +2,7 @@
 #define CGKGR_BASELINES_RIPPLENET_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,16 +25,13 @@ class RippleNet : public models::RecommenderModel {
 
   std::string name() const override { return "RippleNet"; }
 
-  Status Fit(const data::Dataset& dataset,
-             const models::TrainOptions& options) override;
-
-  void ScorePairs(const std::vector<int64_t>& users,
-                  const std::vector<int64_t>& items,
-                  std::vector<float>* out) override;
-
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
+ protected:
+  Status Build(const data::Dataset& dataset, uint64_t seed) override;
+  autograd::Variable BatchLoss(const models::TrainBatch& batch,
+                               Rng* rng) override;
+  void ScoreChunk(std::span<const int64_t> users,
+                  std::span<const int64_t> items, Rng* rng,
+                  std::span<float> out) override;
 
  private:
   /// Per-user, per-hop fixed-size triplet memory.
@@ -47,12 +45,10 @@ class RippleNet : public models::RecommenderModel {
                              const std::vector<int64_t>& items);
 
   data::PresetHyperParams hparams_;
-  bool fitted_ = false;
   int64_t num_hops_ = 2;
   int64_t memory_size_ = 16;
   /// ripple_sets_[user][hop]
   std::vector<std::vector<RippleSet>> ripple_sets_;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> entity_table_;
   autograd::Variable relation_matrices_;  // (R + 1, d, d)
 };

@@ -6,11 +6,7 @@
 #include "autograd/ops.h"
 #include "common/macros.h"
 #include "common/thread_pool.h"
-#include "models/parallel_trainer.h"
 #include "models/trainer_util.h"
-#include "ckpt/checkpoint.h"
-#include "ckpt/io.h"
-#include "common/logging.h"
 #include "obs/trace.h"
 
 namespace cgkgr {
@@ -19,10 +15,7 @@ namespace core {
 namespace {
 using autograd::Variable;
 
-/// Pairs per SampleBatch in ScorePairs (one batch per chunk and pass).
-constexpr int64_t kChunkRows = 1024;
-
-/// Rows per ScorePairs forward task. Like ParallelTrainer's kShardRows it
+/// Rows per ScoreChunk forward task. Like ParallelTrainer's kShardRows it
 /// never depends on the lane count, so the slice plan is the same at every
 /// num_threads; 64 rows keep a forward long enough to amortize dispatch
 /// while a 1,024-pair chunk still yields 16 tasks per pass.
@@ -40,25 +33,25 @@ std::vector<int64_t> RowBlock(const std::vector<int64_t>& values,
 }  // namespace
 
 CgKgrModel::CgKgrModel(CgKgrConfig config, std::string name)
-    : config_(config), name_(std::move(name)) {
+    : RecommenderModel(config.learning_rate, config.l2,
+                       0x7777777777777777ULL),
+      config_(config),
+      name_(std::move(name)) {
   CGKGR_CHECK(config_.embedding_dim > 0);
   CGKGR_CHECK(config_.depth >= 0);
   CGKGR_CHECK(config_.num_heads > 0);
 }
 
-Status CgKgrModel::Prepare(const data::Dataset& dataset, uint64_t seed) {
+Status CgKgrModel::Build(const data::Dataset& dataset, uint64_t seed) {
   if (dataset.num_users <= 0 || dataset.num_items <= 0) {
     return Status::InvalidArgument("empty dataset");
   }
-  num_users_ = dataset.num_users;
-  num_items_ = dataset.num_items;
   train_graph_ = std::make_unique<graph::InteractionGraph>(
       dataset.BuildTrainGraph());
   kg_ = std::make_unique<graph::KnowledgeGraph>(dataset.BuildKnowledgeGraph());
 
   // --- parameter construction ---
   const int64_t d = config_.embedding_dim;
-  store_ = nn::ParameterStore();
   interact_heads_.clear();
   kg_heads_.clear();
   agg_kg_.clear();
@@ -106,73 +99,20 @@ Status CgKgrModel::Prepare(const data::Dataset& dataset, uint64_t seed) {
         &store_, "agg_kg/hop" + std::to_string(l), agg_in, d, act,
         &init_rng));
   }
-  fitted_ = true;
-  eval_seed_ = seed ^ 0x7777777777777777ULL;
-  score_lanes_ = 1;
   return Status::OK();
 }
 
-// Persistence: every parameter in creation order under one named section
-// (validated on load). ScorePairs reseeds its sampling stream per call from
-// eval_seed_, so there is no stateful inference RNG to serialize.
-void CgKgrModel::SaveState(ckpt::Writer* writer) const {
-  CGKGR_CHECK_MSG(fitted_, "SaveState before Prepare/Fit");
-  writer->BeginSection("model/" + name());
-  ckpt::WriteParameterStore(store_, writer);
-}
-
-Status CgKgrModel::LoadState(ckpt::Reader* reader) {
-  if (!fitted_) {
-    return Status::InvalidArgument("LoadState before Prepare/Fit: " + name());
-  }
-  CGKGR_RETURN_NOT_OK(reader->ExpectSection("model/" + name()));
-  return ckpt::ReadParameterStore(reader, &store_);
-}
-
-Status CgKgrModel::Fit(const data::Dataset& dataset,
-                       const models::TrainOptions& options) {
-  CGKGR_RETURN_NOT_OK(Prepare(dataset, options.seed));
-  // The training lanes also score: the per-epoch eval below, and every
-  // ScorePairs call after Fit.
-  score_lanes_ = options.num_threads;
-
-  nn::AdamOptions adam;
-  adam.learning_rate = config_.learning_rate;
-  adam.l2 = config_.l2;
-  nn::AdamOptimizer optimizer(store_.parameters(), adam);
-
-  const auto all_positives = dataset.BuildAllPositives();
-  models::ParallelTrainer trainer(options, &store_, &optimizer);
-
-  // Per-shard loss; runs concurrently, reads only shared model state and
-  // draws all randomness from the shard-private rng.
-  auto loss_fn = [&](const models::TrainBatch& batch, Rng* rng) {
-    // One forward over positives and negatives together (Eq. 22 with
-    // |Y+| = |Y-| and labels 1/0).
-    std::vector<int64_t> users = batch.users;
-    users.insert(users.end(), batch.users.begin(), batch.users.end());
-    std::vector<int64_t> items = batch.positive_items;
-    items.insert(items.end(), batch.negative_items.begin(),
-                 batch.negative_items.end());
-    BatchGraph bg = [&] {
-      obs::ScopedSpan sample_span("train/sample");
-      return SampleBatch(users, items, rng);
-    }();
-    obs::ScopedSpan forward_span("train/forward");
-    Variable scores = Forward(bg, nullptr);
-    std::vector<float> labels(users.size(), 0.0f);
-    std::fill(labels.begin(),
-              labels.begin() + static_cast<int64_t>(batch.users.size()),
-              1.0f);
-    return autograd::BCEWithLogits(scores, std::move(labels));
-  };
-  auto run_epoch = [&](int64_t /*epoch*/, Rng* rng) {
-    return trainer.RunEpoch(dataset.train, all_positives, dataset.num_items,
-                            rng, loss_fn);
-  };
-
-  return models::RunTrainingLoop(this, &store_, &optimizer, dataset, options,
-                                 run_epoch, &stats_);
+Variable CgKgrModel::BatchLoss(const models::TrainBatch& batch, Rng* rng) {
+  // One forward over positives and negatives together (Eq. 22 with
+  // |Y+| = |Y-| and labels 1/0).
+  LabelledPairs pairs = LabelPairs(batch);
+  BatchGraph bg = [&] {
+    obs::ScopedSpan sample_span("train/sample");
+    return SampleBatch(pairs.users, pairs.items, rng);
+  }();
+  obs::ScopedSpan forward_span("train/forward");
+  Variable scores = Forward(bg, nullptr);
+  return autograd::BCEWithLogits(scores, std::move(pairs.labels));
 }
 
 CgKgrModel::BatchGraph CgKgrModel::SampleBatch(
@@ -264,7 +204,6 @@ Variable CgKgrModel::EncodeGuidance(const Variable& vu,
 
 Variable CgKgrModel::Forward(const BatchGraph& batch,
                              std::vector<float>* capture_hop1_attention) {
-  CGKGR_CHECK_MSG(fitted_, "Forward before Fit");
   const int64_t batch_size = static_cast<int64_t>(batch.users.size());
   const int64_t d = config_.embedding_dim;
 
@@ -373,60 +312,49 @@ Variable CgKgrModel::Forward(const BatchGraph& batch,
   return autograd::RowDot(vu, item_final);
 }
 
-void CgKgrModel::ScorePairs(const std::vector<int64_t>& users,
-                            const std::vector<int64_t>& items,
-                            std::vector<float>* out) {
-  CGKGR_CHECK_MSG(fitted_, "ScorePairs before Fit");
-  CGKGR_CHECK(users.size() == items.size() && out != nullptr);
-  const int64_t num_pairs = static_cast<int64_t>(users.size());
+void CgKgrModel::ScoreChunk(std::span<const int64_t> users,
+                            std::span<const int64_t> items, Rng* rng,
+                            std::span<float> out) {
+  const int64_t rows = static_cast<int64_t>(users.size());
   const int64_t passes = std::max<int64_t>(1, config_.inference_samples);
   const float inv_passes = 1.0f / static_cast<float>(passes);
-  out->assign(users.size(), 0.0f);
-  // The lanes live for this call only. Idle workers kept between calls
-  // would each pin a malloc arena holding their last forwards' memory.
-  ThreadPool pool(score_lanes_, "score");
-  Rng rng(eval_seed_);
+  // 1. Sample on this thread, pass by pass: the draws from `rng` never
+  //    depend on how the forwards are scheduled.
+  const std::vector<int64_t> chunk_users(users.begin(), users.end());
+  const std::vector<int64_t> chunk_items(items.begin(), items.end());
   std::vector<BatchGraph> samples(static_cast<size_t>(passes));
-  std::vector<std::vector<float>> pass_scores(static_cast<size_t>(passes));
-  for (int64_t begin = 0; begin < num_pairs; begin += kChunkRows) {
-    const int64_t rows = std::min(kChunkRows, num_pairs - begin);
-    // 1. Sample on this thread, chunk by chunk and pass by pass: the draws
-    //    from `rng` never depend on how the forwards are scheduled.
-    const std::vector<int64_t> chunk_users(users.begin() + begin,
-                                           users.begin() + begin + rows);
-    const std::vector<int64_t> chunk_items(items.begin() + begin,
-                                           items.begin() + begin + rows);
-    for (size_t pass = 0; pass < samples.size(); ++pass) {
-      samples[pass] = SampleBatch(chunk_users, chunk_items, &rng);
-      pass_scores[pass].resize(static_cast<size_t>(rows));
-    }
-    // 2. Forward fixed row slices of every pass on the score lanes. Each
-    //    forward kernel is per-row (docs/kernels.md), so a slice yields the
-    //    bits the whole chunk would.
-    const int64_t slices = (rows + kSliceRows - 1) / kSliceRows;
-    pool.ParallelForEach(0, passes * slices, 1, [&](int64_t task) {
-      autograd::NoGradGuard no_grad;  // grad mode is thread-local
-      const size_t pass = static_cast<size_t>(task / slices);
-      const int64_t slice_begin = task % slices * kSliceRows;
-      const int64_t slice_end = std::min(rows, slice_begin + kSliceRows);
-      const Variable scores =
-          Forward(SliceRows(samples[pass], slice_begin, slice_end), nullptr);
-      std::copy_n(scores.value().data(), slice_end - slice_begin,
-                  pass_scores[pass].begin() + slice_begin);
-    });
-    // 3. Average the passes in pass order.
-    for (const std::vector<float>& scores : pass_scores) {
-      for (int64_t r = 0; r < rows; ++r) {
-        (*out)[static_cast<size_t>(begin + r)] +=
-            inv_passes * scores[static_cast<size_t>(r)];
-      }
-    }
+  std::vector<std::vector<float>> pass_scores(
+      static_cast<size_t>(passes), std::vector<float>(users.size()));
+  for (BatchGraph& sample : samples) {
+    sample = SampleBatch(chunk_users, chunk_items, rng);
+  }
+  // 2. Forward fixed row slices of every pass on the score lanes. Each
+  //    forward kernel is per-row (docs/kernels.md), so a slice yields the
+  //    bits the whole chunk would. The lanes live for this chunk only: idle
+  //    workers kept between calls would each pin a malloc arena holding
+  //    their last forwards' memory.
+  ThreadPool pool(score_lanes(), "score");
+  const int64_t slices = (rows + kSliceRows - 1) / kSliceRows;
+  pool.ParallelForEach(0, passes * slices, 1, [&](int64_t task) {
+    autograd::NoGradGuard no_grad;  // grad mode is thread-local
+    const size_t pass = static_cast<size_t>(task / slices);
+    const int64_t slice_begin = task % slices * kSliceRows;
+    const int64_t slice_end = std::min(rows, slice_begin + kSliceRows);
+    const Variable scores =
+        Forward(SliceRows(samples[pass], slice_begin, slice_end), nullptr);
+    std::copy_n(scores.value().data(), slice_end - slice_begin,
+                pass_scores[pass].begin() + slice_begin);
+  });
+  // 3. Average the passes in pass order.
+  std::fill(out.begin(), out.end(), 0.0f);
+  for (const std::vector<float>& scores : pass_scores) {
+    for (size_t r = 0; r < out.size(); ++r) out[r] += inv_passes * scores[r];
   }
 }
 
 CgKgrModel::AttentionInspection CgKgrModel::InspectKnowledgeAttention(
     int64_t user, int64_t item, uint64_t seed) {
-  CGKGR_CHECK_MSG(fitted_, "InspectKnowledgeAttention before Fit");
+  CGKGR_CHECK_MSG(prepared(), "InspectKnowledgeAttention before Fit");
   CGKGR_CHECK_MSG(config_.depth >= 1 && config_.use_knowledge_attention,
                   "attention inspection requires depth >= 1 and attention on");
   autograd::NoGradGuard no_grad;

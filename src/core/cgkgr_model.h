@@ -2,15 +2,13 @@
 #define CGKGR_CORE_CGKGR_MODEL_H_
 
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/cgkgr_config.h"
 #include "graph/sampler.h"
 #include "models/recommender.h"
-#include "models/trainer_util.h"
-#include "nn/adam.h"
 #include "nn/dense.h"
 #include "nn/embedding.h"
 
@@ -38,31 +36,6 @@ class CgKgrModel : public models::RecommenderModel {
 
   std::string name() const override { return name_; }
 
-  /// Trains, then scores on options.num_threads lanes.
-  Status Fit(const data::Dataset& dataset,
-             const models::TrainOptions& options) override;
-
-  /// Samples every chunk and inference pass on the calling thread, then runs
-  /// the forwards as fixed 64-row slices on a pool of the lanes Fit was
-  /// given (inline after Prepare alone). Scores are bit-identical at any
-  /// lane count; see docs/parallel_training.md ("Parallel inference").
-  void ScorePairs(const std::vector<int64_t>& users,
-                  const std::vector<int64_t>& items,
-                  std::vector<float>* out) override;
-
-  /// models::RecommenderModel persistence API (see docs/checkpointing.md).
-  void SaveState(ckpt::Writer* writer) const override;
-  Status LoadState(ckpt::Reader* reader) override;
-
-  /// Builds graphs and (seed-initialized) parameters without training.
-  /// Fit() calls this internally; call it directly before LoadState() /
-  /// models::LoadModelState() to restore a previously trained model
-  /// without retraining.
-  Status Prepare(const data::Dataset& dataset, uint64_t seed);
-
-  /// The configuration this model was built with.
-  const CgKgrConfig& config() const { return config_; }
-
   /// Hop-1 knowledge attention of a single (user, item) pair, for the
   /// paper's Fig. 5 case study. Requires a fitted model and depth >= 1.
   struct AttentionInspection {
@@ -73,6 +46,18 @@ class CgKgrModel : public models::RecommenderModel {
   };
   AttentionInspection InspectKnowledgeAttention(int64_t user, int64_t item,
                                                 uint64_t seed);
+
+ protected:
+  Status Build(const data::Dataset& dataset, uint64_t seed) override;
+  autograd::Variable BatchLoss(const models::TrainBatch& batch,
+                               Rng* rng) override;
+  /// Samples every inference pass of the chunk on the calling thread, then
+  /// runs the forwards as fixed 64-row slices on a pool of score_lanes()
+  /// lanes. Scores are bit-identical at any lane count; see
+  /// docs/parallel_training.md ("Parallel inference").
+  void ScoreChunk(std::span<const int64_t> users,
+                  std::span<const int64_t> items, Rng* rng,
+                  std::span<float> out) override;
 
  private:
   /// All sampled structure needed to run one batched forward pass.
@@ -116,13 +101,9 @@ class CgKgrModel : public models::RecommenderModel {
   CgKgrConfig config_;
   std::string name_;
 
-  // Populated by Fit().
-  bool fitted_ = false;
-  int64_t num_users_ = 0;
-  int64_t num_items_ = 0;
+  // Populated by Build().
   std::unique_ptr<graph::InteractionGraph> train_graph_;
   std::unique_ptr<graph::KnowledgeGraph> kg_;
-  nn::ParameterStore store_;
   std::unique_ptr<nn::EmbeddingTable> user_table_;
   std::unique_ptr<nn::EmbeddingTable> entity_table_;
   /// Per-head M_{r*} transforms for the collaboration attention (Eq. 1).
@@ -133,12 +114,6 @@ class CgKgrModel : public models::RecommenderModel {
   std::unique_ptr<nn::Dense> agg_user_;
   std::unique_ptr<nn::Dense> agg_item_;
   std::vector<std::unique_ptr<nn::Dense>> agg_kg_;  // one per hop, [0]=hop 1
-  /// Seed for inference-time sampling; ScorePairs draws a fresh stream per
-  /// call, so identical calls on an identical model score identically.
-  uint64_t eval_seed_ = 0;
-  /// Lanes for ScorePairs' forward slices: 1 (inline) after Prepare,
-  /// TrainOptions::num_threads after Fit.
-  int64_t score_lanes_ = 1;
 };
 
 }  // namespace core

@@ -1,34 +1,35 @@
 #include "eval/protocol.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/macros.h"
-#include "common/thread_pool.h"
 #include "eval/metrics.h"
 
 namespace cgkgr {
 namespace eval {
 
-namespace {
+RowScorer::RowScorer(PairScorer* scorer) : scorer_(scorer) {
+  CGKGR_CHECK(scorer_ != nullptr);
+}
 
-/// One evaluated user's metric contributions (parallel path): a row per K
-/// plus the rank-based aggregates, reduced sequentially afterwards so the
-/// accumulation order matches the sequential path exactly.
-struct UserMetricsRow {
-  bool evaluated = false;
-  std::vector<double> recall, ndcg, precision, hit;  // aligned with ks
-  double ap = 0.0;
-  double rr = 0.0;
-};
-
-}  // namespace
+void RowScorer::Score(int64_t user, const std::vector<int64_t>& items,
+                      float* out) {
+  for (size_t begin = 0; begin < items.size(); begin += kPairsPerCall) {
+    const size_t end =
+        std::min(items.size(), begin + static_cast<size_t>(kPairsPerCall));
+    users_.assign(end - begin, user);
+    items_.assign(items.begin() + begin, items.begin() + end);
+    scorer_->ScorePairs(users_, items_, &scores_);
+    CGKGR_CHECK(scores_.size() == end - begin);
+    std::copy(scores_.begin(), scores_.end(), out + begin);
+  }
+}
 
 TopKResult EvaluateTopK(PairScorer* scorer, const data::Dataset& dataset,
                         const std::vector<graph::Interaction>& target_split,
                         const std::vector<std::vector<int64_t>>& mask,
                         const TopKOptions& options) {
-  CGKGR_CHECK(scorer != nullptr);
+  RowScorer row_scorer(scorer);
   TopKResult result;
   const auto positives =
       data::Dataset::BuildPositives(target_split, dataset.num_users);
@@ -58,144 +59,41 @@ TopKResult EvaluateTopK(PairScorer* scorer, const data::Dataset& dataset,
     hit_sums[k] = 0.0;
   }
 
-  if (options.num_threads <= 1) {
-    // Sequential path: historical behaviour, preserved verbatim.
-    std::vector<int64_t> batch_users;
-    std::vector<int64_t> batch_items;
-    std::vector<float> batch_scores;
-    std::vector<float> all_scores(static_cast<size_t>(dataset.num_items));
-    std::vector<int64_t> candidates;
-    for (int64_t user : users) {
-      // Candidate items: everything not already consumed in the mask splits.
-      const auto& masked = mask[static_cast<size_t>(user)];
-      candidates.clear();
-      for (int64_t i = 0; i < dataset.num_items; ++i) {
-        if (!std::binary_search(masked.begin(), masked.end(), i)) {
-          candidates.push_back(i);
-        }
-      }
-      if (candidates.empty()) continue;
-
-      for (size_t begin = 0; begin < candidates.size();
-           begin += static_cast<size_t>(options.chunk_size)) {
-        const size_t end = std::min(
-            candidates.size(), begin + static_cast<size_t>(options.chunk_size));
-        batch_users.assign(end - begin, user);
-        batch_items.assign(candidates.begin() + begin,
-                           candidates.begin() + end);
-        scorer->ScorePairs(batch_users, batch_items, &batch_scores);
-        CGKGR_CHECK(batch_scores.size() == end - begin);
-        for (size_t j = begin; j < end; ++j) {
-          all_scores[candidates[j]] = batch_scores[j - begin];
-        }
-      }
-
-      std::sort(candidates.begin(), candidates.end(),
-                [&](int64_t a, int64_t b) {
-                  return all_scores[static_cast<size_t>(a)] >
-                         all_scores[static_cast<size_t>(b)];
-                });
-      const auto& relevant = positives[static_cast<size_t>(user)];
-      for (int64_t k : options.ks) {
-        recall_sums[k] += RecallAtK(candidates, relevant, k);
-        ndcg_sums[k] += NdcgAtK(candidates, relevant, k);
-        precision_sums[k] += PrecisionAtK(candidates, relevant, k);
-        hit_sums[k] += HitRateAtK(candidates, relevant, k);
-      }
-      map_sum += AveragePrecision(candidates, relevant);
-      mrr_sum += ReciprocalRank(candidates, relevant);
-      ++result.evaluated_users;
-    }
-  } else {
-    // Parallel path. Every ScorePairs call happens on this thread in the
-    // same order as the sequential path (stateful scorers score
-    // identically); the pool takes the scorer-free work: candidate masking
-    // up front, then ranking sort + metric computation per user. Per-user
-    // contributions land in indexed rows and are reduced in user order, so
-    // the result is bit-identical to num_threads == 1.
-    ThreadPool pool(options.num_threads);
-    const int64_t num_eval_users = static_cast<int64_t>(users.size());
-    std::vector<std::vector<int64_t>> user_candidates(
-        static_cast<size_t>(num_eval_users));
-    pool.ParallelForEach(0, num_eval_users, /*grain=*/8, [&](int64_t idx) {
-      const int64_t user = users[static_cast<size_t>(idx)];
-      const auto& masked = mask[static_cast<size_t>(user)];
-      auto& candidates = user_candidates[static_cast<size_t>(idx)];
-      for (int64_t i = 0; i < dataset.num_items; ++i) {
-        if (!std::binary_search(masked.begin(), masked.end(), i)) {
-          candidates.push_back(i);
-        }
-      }
-    });
-
-    // Sequential scoring phase, chunked exactly like the sequential path.
-    std::vector<std::vector<float>> user_scores(
-        static_cast<size_t>(num_eval_users));
-    std::vector<int64_t> batch_users;
-    std::vector<int64_t> batch_items;
-    std::vector<float> batch_scores;
-    for (int64_t idx = 0; idx < num_eval_users; ++idx) {
-      const int64_t user = users[static_cast<size_t>(idx)];
-      const auto& candidates = user_candidates[static_cast<size_t>(idx)];
-      if (candidates.empty()) continue;
-      auto& all_scores = user_scores[static_cast<size_t>(idx)];
-      all_scores.resize(static_cast<size_t>(dataset.num_items));
-      for (size_t begin = 0; begin < candidates.size();
-           begin += static_cast<size_t>(options.chunk_size)) {
-        const size_t end = std::min(
-            candidates.size(), begin + static_cast<size_t>(options.chunk_size));
-        batch_users.assign(end - begin, user);
-        batch_items.assign(candidates.begin() + begin,
-                           candidates.begin() + end);
-        scorer->ScorePairs(batch_users, batch_items, &batch_scores);
-        CGKGR_CHECK(batch_scores.size() == end - begin);
-        for (size_t j = begin; j < end; ++j) {
-          all_scores[candidates[j]] = batch_scores[j - begin];
-        }
+  std::vector<float> all_scores(static_cast<size_t>(dataset.num_items));
+  std::vector<int64_t> candidates;
+  std::vector<float> candidate_scores;
+  for (int64_t user : users) {
+    // Candidate items: everything not already consumed in the mask splits.
+    const auto& masked = mask[static_cast<size_t>(user)];
+    candidates.clear();
+    for (int64_t i = 0; i < dataset.num_items; ++i) {
+      if (!std::binary_search(masked.begin(), masked.end(), i)) {
+        candidates.push_back(i);
       }
     }
-
-    // Parallel ranking + metrics phase.
-    std::vector<UserMetricsRow> rows(static_cast<size_t>(num_eval_users));
-    pool.ParallelForEach(0, num_eval_users, /*grain=*/1, [&](int64_t idx) {
-      auto& candidates = user_candidates[static_cast<size_t>(idx)];
-      if (candidates.empty()) return;
-      const auto& all_scores = user_scores[static_cast<size_t>(idx)];
-      std::sort(candidates.begin(), candidates.end(),
-                [&](int64_t a, int64_t b) {
-                  return all_scores[static_cast<size_t>(a)] >
-                         all_scores[static_cast<size_t>(b)];
-                });
-      const int64_t user = users[static_cast<size_t>(idx)];
-      const auto& relevant = positives[static_cast<size_t>(user)];
-      UserMetricsRow& row = rows[static_cast<size_t>(idx)];
-      row.evaluated = true;
-      for (int64_t k : options.ks) {
-        row.recall.push_back(RecallAtK(candidates, relevant, k));
-        row.ndcg.push_back(NdcgAtK(candidates, relevant, k));
-        row.precision.push_back(PrecisionAtK(candidates, relevant, k));
-        row.hit.push_back(HitRateAtK(candidates, relevant, k));
-      }
-      row.ap = AveragePrecision(candidates, relevant);
-      row.rr = ReciprocalRank(candidates, relevant);
-    });
-
-    // Sequential reduction in user order (same accumulation order as the
-    // sequential path).
-    for (const UserMetricsRow& row : rows) {
-      if (!row.evaluated) continue;
-      size_t slot = 0;
-      for (int64_t k : options.ks) {
-        recall_sums[k] += row.recall[slot];
-        ndcg_sums[k] += row.ndcg[slot];
-        precision_sums[k] += row.precision[slot];
-        hit_sums[k] += row.hit[slot];
-        ++slot;
-      }
-      map_sum += row.ap;
-      mrr_sum += row.rr;
-      ++result.evaluated_users;
+    if (candidates.empty()) continue;
+    candidate_scores.resize(candidates.size());
+    row_scorer.Score(user, candidates, candidate_scores.data());
+    for (size_t j = 0; j < candidates.size(); ++j) {
+      all_scores[static_cast<size_t>(candidates[j])] = candidate_scores[j];
     }
+    std::sort(candidates.begin(), candidates.end(),
+              [&](int64_t a, int64_t b) {
+                const float score_a = all_scores[static_cast<size_t>(a)];
+                const float score_b = all_scores[static_cast<size_t>(b)];
+                if (score_a != score_b) return score_a > score_b;
+                return a < b;
+              });
+    const auto& relevant = positives[static_cast<size_t>(user)];
+    for (int64_t k : options.ks) {
+      recall_sums[k] += RecallAtK(candidates, relevant, k);
+      ndcg_sums[k] += NdcgAtK(candidates, relevant, k);
+      precision_sums[k] += PrecisionAtK(candidates, relevant, k);
+      hit_sums[k] += HitRateAtK(candidates, relevant, k);
+    }
+    map_sum += AveragePrecision(candidates, relevant);
+    mrr_sum += ReciprocalRank(candidates, relevant);
+    ++result.evaluated_users;
   }
 
   const double denom =
@@ -214,9 +112,8 @@ TopKResult EvaluateTopK(PairScorer* scorer, const data::Dataset& dataset,
 }
 
 CtrResult EvaluateCtr(PairScorer* scorer,
-                      const std::vector<data::CtrExample>& examples,
-                      int64_t chunk_size) {
-  CGKGR_CHECK(scorer != nullptr && chunk_size > 0);
+                      const std::vector<data::CtrExample>& examples) {
+  CGKGR_CHECK(scorer != nullptr);
   std::vector<float> scores;
   std::vector<float> labels;
   scores.reserve(examples.size());
@@ -224,10 +121,9 @@ CtrResult EvaluateCtr(PairScorer* scorer,
   std::vector<int64_t> users;
   std::vector<int64_t> items;
   std::vector<float> chunk_scores;
-  for (size_t begin = 0; begin < examples.size();
-       begin += static_cast<size_t>(chunk_size)) {
-    const size_t end =
-        std::min(examples.size(), begin + static_cast<size_t>(chunk_size));
+  for (size_t begin = 0; begin < examples.size(); begin += kPairsPerCall) {
+    const size_t end = std::min(examples.size(),
+                                begin + static_cast<size_t>(kPairsPerCall));
     users.clear();
     items.clear();
     for (size_t i = begin; i < end; ++i) {

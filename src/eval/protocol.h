@@ -23,25 +23,37 @@ class PairScorer {
                           std::vector<float>* out) = 0;
 };
 
+/// Pairs per ScorePairs call in EvaluateTopK, EvaluateCtr and
+/// serve::BuildSnapshot. One value everywhere, so evaluation and serving
+/// hand a model the same calls.
+inline constexpr int64_t kPairsPerCall = 4096;
+
+/// Scores one user's items at a time through a PairScorer, on the calling
+/// thread, in ScorePairs calls of at most kPairsPerCall pairs: the per-user
+/// loop of EvaluateTopK and serve::BuildSnapshot. Its call buffers live
+/// across rows.
+class RowScorer {
+ public:
+  explicit RowScorer(PairScorer* scorer);
+
+  /// Writes the score of (user, items[j]) to out[j].
+  void Score(int64_t user, const std::vector<int64_t>& items, float* out);
+
+ private:
+  PairScorer* scorer_;
+  std::vector<int64_t> users_;
+  std::vector<int64_t> items_;
+  std::vector<float> scores_;
+};
+
 /// Options for full-ranking Top-K evaluation (paper Sec. IV-C).
 struct TopKOptions {
   /// Cutoffs to report; the paper sweeps {1, 5, 10, 20, 50, 100}.
   std::vector<int64_t> ks = {20};
   /// Evaluate at most this many users (sampled deterministically); 0 = all.
   int64_t max_users = 0;
-  /// Pairs scored per ScorePairs call.
-  int64_t chunk_size = 4096;
   /// Seed for the user subsample.
   uint64_t user_sample_seed = 7;
-  /// Concurrent lanes for the per-user candidate masking, ranking sort, and
-  /// metric computation (common/thread_pool). All ScorePairs calls stay on
-  /// the calling thread in the exact order of the sequential path — the
-  /// PairScorer contract does not require thread safety — so results are
-  /// bit-identical for every value of this knob; 1 (the default) runs the
-  /// historical fully sequential code path. Values > 1 buffer each
-  /// evaluated user's candidate scores (O(evaluated_users x num_items)
-  /// floats) until the parallel ranking phase.
-  int64_t num_threads = 1;
 };
 
 /// Mean ranking metrics over evaluated users. Recall/NDCG are the paper's
@@ -60,6 +72,7 @@ struct TopKResult {
 /// Full-ranking Top-K evaluation: for every user with at least one positive
 /// in `target_split`, ranks all items not interacted with in the earlier
 /// splits (`mask` = train [+ eval when testing]) and averages Recall/NDCG.
+/// Ranking is serve::Engine's order: score descending, then item ascending.
 TopKResult EvaluateTopK(PairScorer* scorer, const data::Dataset& dataset,
                         const std::vector<graph::Interaction>& target_split,
                         const std::vector<std::vector<int64_t>>& mask,
@@ -71,10 +84,10 @@ struct CtrResult {
   double f1 = 0.0;
 };
 
-/// Scores every example in chunks and computes AUC and F1.
+/// Scores every example, kPairsPerCall pairs per call, and computes AUC
+/// and F1.
 CtrResult EvaluateCtr(PairScorer* scorer,
-                      const std::vector<data::CtrExample>& examples,
-                      int64_t chunk_size = 4096);
+                      const std::vector<data::CtrExample>& examples);
 
 }  // namespace eval
 }  // namespace cgkgr

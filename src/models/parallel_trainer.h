@@ -18,7 +18,7 @@
 namespace cgkgr {
 namespace models {
 
-/// Data-parallel epoch driver shared by every model's Fit(): splits each
+/// Data-parallel epoch driver of RecommenderModel::Fit: splits each
 /// mini-batch into fixed-size row shards, runs forward/backward per shard on
 /// the pool (each shard on its own autograd tape, with parameter gradients
 /// redirected into shard-private buffers via autograd::GradSinkGuard),

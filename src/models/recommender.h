@@ -2,12 +2,18 @@
 #define CGKGR_MODELS_RECOMMENDER_H_
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "analysis/tape_lint.h"
+#include "autograd/variable.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "data/dataset.h"
 #include "eval/protocol.h"
+#include "nn/adam.h"
+#include "nn/parameter.h"
 
 namespace cgkgr {
 
@@ -17,6 +23,8 @@ class Reader;
 }  // namespace ckpt
 
 namespace models {
+
+struct TrainBatch;
 
 /// Which eval-split metric drives early stopping. The paper tunes per
 /// task: ranking runs stop on Recall@20, CTR runs on AUC.
@@ -84,10 +92,6 @@ struct TrainOptions {
   int64_t num_threads = 1;
   uint64_t seed = 1;
   EarlyStopMetric early_stop_metric = EarlyStopMetric::kAuc;
-  /// Cap on eval-split CTR examples used for per-epoch early stopping.
-  int64_t eval_max_examples = 4000;
-  /// Users sampled for per-epoch Recall@20 early stopping.
-  int64_t eval_topk_users = 60;
   bool verbose = false;
   /// Debug flag: run analysis::LintTape on every recorded loss tape before
   /// its backward pass (fatal on violations). Also enabled globally by
@@ -129,37 +133,119 @@ struct TrainStats {
   int64_t resumed_epochs = 0;
 };
 
-/// Common interface for CG-KGR and all baselines: train on a dataset, then
-/// score arbitrary (user, item) pairs. Implementations restore their
-/// best-epoch parameters before Fit() returns.
+/// Common skeleton of CG-KGR and all baselines: train on a dataset, then
+/// score arbitrary (user, item) pairs. The base owns everything around a
+/// model's equations — the parameter store, Prepare, the Adam +
+/// ParallelTrainer + RunTrainingLoop wiring of Fit, chunked ScorePairs,
+/// and persistence. A model supplies only its math: Build, BatchLoss and
+/// ScoreChunk (plus OnEpochStart for a staged schedule). Fit restores the
+/// best-epoch parameters before it returns.
 class RecommenderModel : public eval::PairScorer {
  public:
-  ~RecommenderModel() override = default;
+  RecommenderModel(const RecommenderModel&) = delete;
+  RecommenderModel& operator=(const RecommenderModel&) = delete;
+  ~RecommenderModel() override;
 
   /// Display/registry name ("CG-KGR", "BPRMF", ...).
   virtual std::string name() const = 0;
 
-  /// Trains on dataset.train, early-stopping against dataset.eval.
-  virtual Status Fit(const data::Dataset& dataset,
-                     const TrainOptions& options) = 0;
+  /// Builds graphs and seed-initialized parameters without training. Fit
+  /// calls this first; call it directly before LoadState() /
+  /// models::LoadModelState() to restore a trained model without
+  /// retraining. Scoring then runs inline (one lane).
+  Status Prepare(const data::Dataset& dataset, uint64_t seed);
 
-  /// Serializes the model's trained state (parameters plus any stateful
-  /// inference RNG) into `writer`. This is the single persistence surface
-  /// for every model — trainer checkpoints, standalone model files
+  /// Prepares with options.seed, then trains on dataset.train with Adam
+  /// (the model's learning rate and L2) on options.num_threads lanes,
+  /// early-stopping against dataset.eval. The same lanes serve later
+  /// ScorePairs calls of models that score in parallel (CG-KGR).
+  Status Fit(const data::Dataset& dataset, const TrainOptions& options);
+
+  /// Scores the pairs in chunks of kScoreChunkPairs without gradients,
+  /// drawing any inference sampling from a stream reseeded from the eval
+  /// seed on every call, so identical calls on an identical model score
+  /// identically. Requires a prepared or fitted model.
+  void ScorePairs(const std::vector<int64_t>& users,
+                  const std::vector<int64_t>& items,
+                  std::vector<float>* out) final;
+
+  /// Serializes the parameters, in creation order, under one
+  /// "model/<name>" section. This is the single persistence surface for
+  /// every model — trainer checkpoints, standalone model files
   /// (SaveModelState), and serve-side export all go through it. Requires a
-  /// fitted/prepared model.
-  virtual void SaveState(ckpt::Writer* writer) const = 0;
+  /// prepared or fitted model. There is no inference RNG state to write:
+  /// ScorePairs reseeds per call.
+  void SaveState(ckpt::Writer* writer) const;
 
-  /// Restores state written by SaveState into a model that was
-  /// constructed/prepared identically (same hyper-parameters and dataset
-  /// dimensions; names and shapes are validated).
-  virtual Status LoadState(ckpt::Reader* reader) = 0;
+  /// Restores state written by SaveState into a model that was prepared
+  /// identically (same hyper-parameters, dataset dimensions and seed;
+  /// names and shapes are validated).
+  Status LoadState(ckpt::Reader* reader);
 
   /// Training statistics of the last Fit().
   const TrainStats& train_stats() const { return stats_; }
 
  protected:
+  /// Pairs per ScoreChunk call. Fixed, so a call's sampling stream never
+  /// depends on anything but the pairs it is given.
+  static constexpr int64_t kScoreChunkPairs = 1024;
+
+  /// One batch of training pairs, positives then negatives, labelled 1
+  /// then 0: the input of the pointwise BCE losses (Eq. 22 with
+  /// |Y+| = |Y-|).
+  struct LabelledPairs {
+    std::vector<int64_t> users;
+    std::vector<int64_t> items;
+    std::vector<float> labels;
+  };
+
+  /// `learning_rate` and `l2` configure Fit's Adam optimizer; ScorePairs
+  /// reseeds its stream from (Prepare seed ^ `eval_salt`).
+  RecommenderModel(float learning_rate, float l2, uint64_t eval_salt = 0);
+
+  /// Creates the model's graphs and parameters in store_ (empty on entry)
+  /// from the dataset and seed. Every RNG draw must come from streams
+  /// seeded here, so Prepare(dataset, seed) always rebuilds the same
+  /// model.
+  virtual Status Build(const data::Dataset& dataset, uint64_t seed) = 0;
+
+  /// The (scalar, per-row mean) training loss of one shard batch. Runs
+  /// concurrently on the training lanes: it must only read shared model
+  /// state and draw all randomness from `rng`.
+  virtual autograd::Variable BatchLoss(const TrainBatch& batch,
+                                       Rng* rng) = 0;
+
+  /// Writes the scores of at most kScoreChunkPairs aligned pairs to `out`.
+  /// Runs under NoGradGuard on the calling thread; `rng` is the call's
+  /// inference stream, shared by its chunks in order.
+  virtual void ScoreChunk(std::span<const int64_t> users,
+                          std::span<const int64_t> items, Rng* rng,
+                          std::span<float> out) = 0;
+
+  /// Called before each training epoch with its 1-based number (the loop's
+  /// true epoch, so a staged schedule survives a checkpoint resume);
+  /// returns the tape-lint options for that epoch's shards.
+  virtual analysis::TapeLintOptions OnEpochStart(int64_t epoch);
+
+  /// `batch` as labelled positives-then-negatives pairs.
+  static LabelledPairs LabelPairs(const TrainBatch& batch);
+
+  /// True once Prepare (or Fit) has built the model.
+  bool prepared() const { return prepared_; }
+
+  /// Lanes ScoreChunk may spread over: 1 after Prepare,
+  /// TrainOptions::num_threads after Fit.
+  int64_t score_lanes() const { return score_lanes_; }
+
+  nn::ParameterStore store_;
+
+ private:
   TrainStats stats_;
+  nn::AdamOptions adam_;
+  const uint64_t eval_salt_;
+  bool prepared_ = false;
+  uint64_t eval_seed_ = 0;
+  int64_t score_lanes_ = 1;
 };
 
 /// Writes `model`'s SaveState output to `path` as a framed, CRC-validated

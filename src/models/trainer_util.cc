@@ -24,6 +24,11 @@ namespace models {
 
 namespace {
 
+/// Cap on eval-split CTR examples used for per-epoch AUC early stopping.
+constexpr int64_t kEvalMaxExamples = 4000;
+/// Users sampled for per-epoch Recall@20 early stopping.
+constexpr int64_t kEvalTopKUsers = 60;
+
 /// Resolves the per-epoch JSONL path: the per-run TrainOptions field wins,
 /// the CGKGR_METRICS_JSONL environment variable is the process default.
 std::string MetricsJsonlPath(const TrainOptions& options) {
@@ -196,15 +201,14 @@ Status RunTrainingLoop(RecommenderModel* model, nn::ParameterStore* store,
   const auto all_positives = dataset.BuildAllPositives();
   std::vector<data::CtrExample> eval_examples = data::MakeCtrExamples(
       dataset.eval, all_positives, dataset.num_items, &eval_rng);
-  if (options.eval_max_examples > 0 &&
-      static_cast<int64_t>(eval_examples.size()) > options.eval_max_examples) {
+  if (static_cast<int64_t>(eval_examples.size()) > kEvalMaxExamples) {
     eval_rng.Shuffle(&eval_examples);
-    eval_examples.resize(static_cast<size_t>(options.eval_max_examples));
+    eval_examples.resize(static_cast<size_t>(kEvalMaxExamples));
   }
   // Recall@20 early stopping ranks the eval split with train items masked.
   eval::TopKOptions topk_options;
   topk_options.ks = {20};
-  topk_options.max_users = options.eval_topk_users;
+  topk_options.max_users = kEvalTopKUsers;
   topk_options.user_sample_seed = options.seed ^ 0x1313131313131313ULL;
   const auto train_positives = dataset.BuildTrainPositives();
   auto eval_metric = [&]() {

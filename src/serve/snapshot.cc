@@ -1,12 +1,13 @@
 #include "serve/snapshot.h"
 
-#include <algorithm>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "ckpt/io.h"
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "eval/protocol.h"
 
 namespace cgkgr {
 namespace serve {
@@ -17,10 +18,8 @@ const char kSnapshotSection[] = "serve-snapshot";
 }  // namespace
 
 Snapshot BuildSnapshot(models::RecommenderModel* model,
-                       const data::Dataset& dataset,
-                       const SnapshotBuildOptions& options) {
+                       const data::Dataset& dataset) {
   CGKGR_CHECK(model != nullptr);
-  CGKGR_CHECK(options.chunk_size > 0);
   Snapshot snapshot;
   snapshot.model_name = model->name();
   snapshot.dataset_name = dataset.name;
@@ -30,28 +29,12 @@ Snapshot BuildSnapshot(models::RecommenderModel* model,
       static_cast<size_t>(dataset.num_users * dataset.num_items));
   snapshot.seen = dataset.BuildTrainPositives();
 
-  // Model scoring stays on this thread (PairScorer is not required to be
-  // thread-safe). Pairs are chunked exactly like the eval protocol so the
-  // per-call shapes match what models were exercised with.
-  std::vector<int64_t> batch_users;
-  std::vector<int64_t> batch_items;
-  std::vector<float> batch_scores;
+  std::vector<int64_t> all_items(static_cast<size_t>(dataset.num_items));
+  std::iota(all_items.begin(), all_items.end(), int64_t{0});
+  eval::RowScorer row_scorer(model);
   for (int64_t user = 0; user < dataset.num_users; ++user) {
-    for (int64_t begin = 0; begin < dataset.num_items;
-         begin += options.chunk_size) {
-      const int64_t end =
-          std::min(dataset.num_items, begin + options.chunk_size);
-      batch_users.assign(static_cast<size_t>(end - begin), user);
-      batch_items.resize(static_cast<size_t>(end - begin));
-      for (int64_t i = begin; i < end; ++i) {
-        batch_items[static_cast<size_t>(i - begin)] = i;
-      }
-      model->ScorePairs(batch_users, batch_items, &batch_scores);
-      CGKGR_CHECK(batch_scores.size() == static_cast<size_t>(end - begin));
-      std::copy(batch_scores.begin(), batch_scores.end(),
-                snapshot.scores.begin() +
-                    static_cast<size_t>(user * dataset.num_items + begin));
-    }
+    row_scorer.Score(user, all_items,
+                     snapshot.scores.data() + user * dataset.num_items);
   }
   return snapshot;
 }

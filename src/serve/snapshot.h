@@ -39,20 +39,15 @@ struct Snapshot {
   }
 };
 
-/// Knobs for BuildSnapshot.
-struct SnapshotBuildOptions {
-  /// Pairs scored per ScorePairs call (mirrors eval::TopKOptions).
-  int64_t chunk_size = 4096;
-};
-
 /// Batch-scores every (user, item) pair of the dataset through the trained
-/// model and packages the result with train-split seen lists. The
-/// ScorePairs calls are issued one at a time from the calling thread
-/// (PairScorer need not be thread-safe); a model may spread each call over
-/// its own lanes, as CG-KGR does with the lanes it was trained on.
+/// model and packages the result with train-split seen lists. Each user's
+/// row goes through eval::RowScorer, the loop eval::EvaluateTopK ranks
+/// from, so the ScorePairs calls are issued one at a time from the calling
+/// thread (PairScorer need not be thread-safe); a model may spread each
+/// call over its own lanes, as CG-KGR does with the lanes it was trained
+/// on.
 Snapshot BuildSnapshot(models::RecommenderModel* model,
-                       const data::Dataset& dataset,
-                       const SnapshotBuildOptions& options = {});
+                       const data::Dataset& dataset);
 
 /// Writes `snapshot` to `path` as a framed, CRC-validated binary checkpoint
 /// (the ckpt format — see docs/checkpointing.md) with an atomic publish.

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -370,6 +371,14 @@ TEST(CkptManifestTest, OpenLatestValidNotFoundWhenNothingValidates) {
 // --- model persistence API ---------------------------------------------
 
 TEST(ModelStateTest, SaveLoadModelStateRoundTripsEveryModel) {
+  // Crc32 of each model's SaveState payload after the Fit below, pinned so
+  // a change to the shared model plumbing cannot move a checkpoint byte.
+  const std::map<std::string, uint32_t> kPayloadCrcs = {
+      {"BPRMF", 1145881308u},    {"NFM", 1405787713u},
+      {"CKE", 372192195u},       {"RippleNet", 1904644359u},
+      {"KGNN-LS", 1773751498u},  {"KGCN", 3642203126u},
+      {"KGAT", 2191970701u},     {"CKAN", 286255513u},
+      {"CG-KGR", 2221809950u}};
   const data::Dataset d = SmallDataset();
   const data::PresetHyperParams hparams = SmallHparams();
   const std::string dir = FreshDir("model-state");
@@ -380,17 +389,17 @@ TEST(ModelStateTest, SaveLoadModelStateRoundTripsEveryModel) {
     ASSERT_TRUE(trained->Fit(d, options).ok()) << name;
     const std::string path = dir + "/" + name + ".ckpt";
     ASSERT_TRUE(models::SaveModelState(*trained, path).ok()) << name;
+    const std::string payload = StatePayload(*trained);
+    EXPECT_EQ(Crc32(payload.data(), payload.size()), kPayloadCrcs.at(name))
+        << name;
 
-    // A second instance, prepared identically (same seed — models like
-    // RippleNet and CG-KGR bake seed-derived sampling structures at Fit
-    // time) but trained for fewer epochs, converges to the trained one
-    // after LoadModelState.
-    models::TrainOptions other = options;
-    other.max_epochs = 1;
+    // A second instance, prepared with the same seed (models like
+    // RippleNet and CG-KGR bake seed-derived sampling structures into
+    // Prepare) but never trained, restores to the trained one.
     auto restored = models::CreateModel(name, hparams);
-    ASSERT_TRUE(restored->Fit(d, other).ok()) << name;
+    ASSERT_TRUE(restored->Prepare(d, options.seed).ok()) << name;
     ASSERT_TRUE(models::LoadModelState(restored.get(), path).ok()) << name;
-    EXPECT_EQ(StatePayload(*restored), StatePayload(*trained)) << name;
+    EXPECT_EQ(StatePayload(*restored), payload) << name;
 
     std::vector<float> want;
     std::vector<float> got;
@@ -414,7 +423,7 @@ TEST(ModelStateTest, LoadRejectsWrongModelsAndCorruption) {
 
   // Wrong model: the section name embeds the model identity.
   auto nfm = models::CreateModel("NFM", hparams);
-  ASSERT_TRUE(nfm->Fit(d, options).ok());
+  ASSERT_TRUE(nfm->Prepare(d, options.seed).ok());
   EXPECT_FALSE(models::LoadModelState(nfm.get(), path).ok());
 
   // Untrained model: LoadState requires a prepared store.

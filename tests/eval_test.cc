@@ -268,7 +268,7 @@ TEST(ProtocolTest, MaxUsersSubsamples) {
 TEST(ProtocolTest, CtrEvaluatorUsesScorer) {
   OracleScorer oracle({{5.0f, -5.0f}});
   std::vector<data::CtrExample> examples = {{0, 0, 1.0f}, {0, 1, 0.0f}};
-  const CtrResult result = EvaluateCtr(&oracle, examples, /*chunk_size=*/1);
+  const CtrResult result = EvaluateCtr(&oracle, examples);
   EXPECT_DOUBLE_EQ(result.auc, 1.0);
   EXPECT_DOUBLE_EQ(result.f1, 1.0);
 }
@@ -289,24 +289,24 @@ TEST(ProtocolTest, ReportsAllRankingMetrics) {
   EXPECT_DOUBLE_EQ(result.precision.at(2), 0.5);
 }
 
-TEST(ProtocolTest, ChunkBoundariesDoNotChangeResults) {
-  data::Dataset d = TinyDataset();
-  OracleScorer oracle({{0.0f, 1.0f, 0.2f, 0.1f},
-                       {0.0f, 0.0f, 1.0f, 0.1f}});
-  TopKOptions small_chunks;
-  small_chunks.ks = {1, 2};
-  small_chunks.chunk_size = 1;  // one pair per ScorePairs call
-  TopKOptions big_chunks;
-  big_chunks.ks = {1, 2};
-  big_chunks.chunk_size = 1024;
-  const TopKResult a = EvaluateTopK(&oracle, d, d.test,
-                                    d.BuildTrainPositives(), small_chunks);
-  const TopKResult b = EvaluateTopK(&oracle, d, d.test,
-                                    d.BuildTrainPositives(), big_chunks);
-  for (int64_t k : small_chunks.ks) {
-    EXPECT_DOUBLE_EQ(a.recall.at(k), b.recall.at(k));
-    EXPECT_DOUBLE_EQ(a.ndcg.at(k), b.ndcg.at(k));
-  }
+TEST(ProtocolTest, TiesRankByItemIdLikeTheEngine) {
+  // 17 candidates with one score: the engine's order (score descending,
+  // then item ascending) puts the relevant item 0 first. An unstable sort
+  // on score alone does not.
+  data::Dataset d;
+  d.name = "ties";
+  d.num_users = 1;
+  d.num_items = 17;
+  d.num_entities = 17;
+  d.num_relations = 1;
+  d.test = {{0, 0}};
+  OracleScorer flat({std::vector<float>(17, 0.5f)});
+  TopKOptions options;
+  options.ks = {1};
+  const TopKResult result = EvaluateTopK(
+      &flat, d, d.test, d.BuildTrainPositives(), options);
+  EXPECT_EQ(result.evaluated_users, 1);
+  EXPECT_DOUBLE_EQ(result.recall.at(1), 1.0);
 }
 
 TEST(ProtocolTest, UsersWithoutTargetPositivesAreSkipped) {

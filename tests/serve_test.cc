@@ -1,8 +1,8 @@
 // Tests for src/serve: snapshot save->load round-trip equality, Engine
 // Top-K agreement with brute-force model scoring, LRU cache eviction and
 // invalidation-on-reload, batch/single consistency, snapshot rebuilds that
-// are bit-identical for every model, and the threaded EvaluateTopK knob
-// staying bit-identical.
+// are bit-identical (and pinned) for every model, and EvaluateTopK on a
+// pure-scoring model agreeing with the rows of its snapshot.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -518,13 +519,10 @@ TEST(DeltaTest, BuildDeltaRejectsDimensionChanges) {
             StatusCode::kInvalidArgument);
 }
 
-/// Every registry model scores as a pure function of the model and the
-/// ScorePairs call: rebuilding a snapshot from one trained model gives the
-/// same bits, so the delta between the two builds is empty.
-class RebuildSnapshotTest : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(RebuildSnapshotTest, RebuildIsBitIdenticalAndDeltaIsEmpty) {
-  const data::Dataset dataset = SmallDataset();
+/// `name` from the registry with small hyper-parameters, trained for two
+/// epochs on `dataset` (null if Fit fails).
+std::unique_ptr<models::RecommenderModel> ZooModel(
+    const std::string& name, const data::Dataset& dataset) {
   data::PresetHyperParams hparams;
   hparams.embedding_dim = 8;
   hparams.depth = 2;
@@ -532,12 +530,37 @@ TEST_P(RebuildSnapshotTest, RebuildIsBitIdenticalAndDeltaIsEmpty) {
   hparams.item_sample_size = 3;
   hparams.kg_sample_size = 3;
   hparams.num_heads = 2;
-  auto model = models::CreateModel(GetParam(), hparams);
+  auto model = models::CreateModel(name, hparams);
   models::TrainOptions options;
   options.max_epochs = 2;
   options.patience = 100;
   options.seed = 7;
-  ASSERT_TRUE(model->Fit(dataset, options).ok());
+  const Status status = model->Fit(dataset, options);
+  EXPECT_TRUE(status.ok()) << name << ": " << status.ToString();
+  return status.ok() ? std::move(model) : nullptr;
+}
+
+/// Every registry model scores as a pure function of the model and the
+/// ScorePairs call: rebuilding a snapshot from one trained model gives the
+/// same bits, so the delta between the two builds is empty. The build is
+/// also pinned to a fingerprint per model, so a change to the shared model
+/// plumbing cannot move a score.
+class RebuildSnapshotTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RebuildSnapshotTest, RebuildIsBitIdenticalAndDeltaIsEmpty) {
+  const std::map<std::string, uint64_t> kFingerprints = {
+      {"BPRMF", 12213020103869037005ULL},
+      {"NFM", 4779322085844551589ULL},
+      {"CKE", 15919944379915675140ULL},
+      {"RippleNet", 17150954979717048062ULL},
+      {"KGNN-LS", 17233643873166515280ULL},
+      {"KGCN", 3072268724098493508ULL},
+      {"KGAT", 400770404271847471ULL},
+      {"CKAN", 14799732899830912919ULL},
+      {"CG-KGR", 6065106209062881786ULL}};
+  const data::Dataset dataset = SmallDataset();
+  auto model = ZooModel(GetParam(), dataset);
+  ASSERT_NE(model, nullptr);
   const Snapshot first = BuildSnapshot(model.get(), dataset);
   const Snapshot second = BuildSnapshot(model.get(), dataset);
   ASSERT_EQ(first.scores.size(), second.scores.size());
@@ -547,6 +570,7 @@ TEST_P(RebuildSnapshotTest, RebuildIsBitIdenticalAndDeltaIsEmpty) {
   }
   EXPECT_EQ(changed, 0) << GetParam();
   EXPECT_EQ(SnapshotFingerprint(first), SnapshotFingerprint(second));
+  EXPECT_EQ(SnapshotFingerprint(first), kFingerprints.at(GetParam()));
   Result<SnapshotDelta> delta = BuildDelta(first, second);
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();
   EXPECT_TRUE(delta.value().rows.empty())
@@ -832,25 +856,49 @@ TEST(EngineTest, ReloadFromDirAppliesMixedSnapshotAndDeltaTimeline) {
             SnapshotFingerprint(target));
 }
 
-// --- Threaded EvaluateTopK knob ---
+// --- One scoring path for evaluation and serving ---
 
-TEST(EvaluateTopKThreadedTest, ResultsBitIdenticalToSequential) {
+/// Serves pair scores from a snapshot's rows.
+class SnapshotScorer : public eval::PairScorer {
+ public:
+  explicit SnapshotScorer(const Snapshot& snapshot) : snapshot_(snapshot) {}
+
+  void ScorePairs(const std::vector<int64_t>& users,
+                  const std::vector<int64_t>& items,
+                  std::vector<float>* out) override {
+    out->resize(users.size());
+    for (size_t i = 0; i < users.size(); ++i) {
+      (*out)[i] = snapshot_.UserScores(users[i])[items[i]];
+    }
+  }
+
+ private:
+  const Snapshot& snapshot_;
+};
+
+/// For the models whose score is a pure function of (model, user, item),
+/// ranking through the model equals ranking the rows of its snapshot: both
+/// go through eval::RowScorer, and EvaluateTopK breaks ties like the
+/// engine.
+class TopKFromSnapshotTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(TopKFromSnapshotTest, EvaluateTopKOnModelEqualsSnapshotRows) {
   const data::Dataset dataset = SmallDataset();
-  auto model = TrainedModel(dataset);
+  auto model = ZooModel(GetParam(), dataset);
+  ASSERT_NE(model, nullptr);
+  const Snapshot snapshot = BuildSnapshot(model.get(), dataset);
+  SnapshotScorer rows(snapshot);
   const auto mask = dataset.BuildTrainPositives();
-
-  eval::TopKOptions sequential;
-  sequential.ks = {5, 10, 20};
+  eval::TopKOptions options;
+  options.ks = {1, 5, 10, 20};
   const eval::TopKResult a =
-      eval::EvaluateTopK(model.get(), dataset, dataset.test, mask, sequential);
-
-  eval::TopKOptions threaded = sequential;
-  threaded.num_threads = 4;
+      eval::EvaluateTopK(model.get(), dataset, dataset.test, mask, options);
   const eval::TopKResult b =
-      eval::EvaluateTopK(model.get(), dataset, dataset.test, mask, threaded);
+      eval::EvaluateTopK(&rows, dataset, dataset.test, mask, options);
 
+  EXPECT_GT(a.evaluated_users, 0);
   EXPECT_EQ(a.evaluated_users, b.evaluated_users);
-  for (int64_t k : sequential.ks) {
+  for (int64_t k : options.ks) {
     EXPECT_EQ(a.recall.at(k), b.recall.at(k)) << "recall@" << k;
     EXPECT_EQ(a.ndcg.at(k), b.ndcg.at(k)) << "ndcg@" << k;
     EXPECT_EQ(a.precision.at(k), b.precision.at(k)) << "precision@" << k;
@@ -859,6 +907,10 @@ TEST(EvaluateTopKThreadedTest, ResultsBitIdenticalToSequential) {
   EXPECT_EQ(a.map, b.map);
   EXPECT_EQ(a.mrr, b.mrr);
 }
+
+INSTANTIATE_TEST_SUITE_P(PureScorers, TopKFromSnapshotTest,
+                         ::testing::Values("BPRMF", "NFM", "CKE",
+                                           "RippleNet"));
 
 }  // namespace
 }  // namespace serve

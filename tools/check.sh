@@ -18,10 +18,14 @@
 #                            cgkgr_model_test + serve_test, whose CG-KGR
 #                            scoring runs forwards on parallel lanes).
 #        CGKGR_CHECK_ASAN=1  AddressSanitizer over the memory-heavy tests
-#                            (tensor_test, autograd_test, ckpt_test).
+#                            (tensor_test, autograd_test, ckpt_test) and
+#                            the model zoo (baselines_test), whose
+#                            parameters live in the shared
+#                            models::RecommenderModel base.
 #        CGKGR_CHECK_UBSAN=1 UndefinedBehaviorSanitizer over the numeric
 #                            core (tensor_test, autograd_test,
-#                            cgkgr_model_test) and the checkpoint byte
+#                            cgkgr_model_test), the model zoo
+#                            (baselines_test) and the checkpoint byte
 #                            codec (ckpt_test).
 #   4. Perf-regression gate, opt-in because it runs real training:
 #        CGKGR_CHECK_BENCH=1 runs cgkgr_bench on the committed smoke spec
@@ -109,14 +113,14 @@ fi
 
 if [ "${CGKGR_CHECK_ASAN:-0}" = "1" ]; then
   run_sanitizer AddressSanitizer address build-asan \
-    tensor_test autograd_test ckpt_test
+    tensor_test autograd_test ckpt_test baselines_test
 else
   echo "== AddressSanitizer: SKIPPED (set CGKGR_CHECK_ASAN=1 to enable) =="
 fi
 
 if [ "${CGKGR_CHECK_UBSAN:-0}" = "1" ]; then
   run_sanitizer UndefinedBehaviorSanitizer undefined build-ubsan \
-    tensor_test autograd_test cgkgr_model_test ckpt_test
+    tensor_test autograd_test cgkgr_model_test ckpt_test baselines_test
 else
   echo "== UndefinedBehaviorSanitizer: SKIPPED (set CGKGR_CHECK_UBSAN=1 to enable) =="
 fi
