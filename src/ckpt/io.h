@@ -30,9 +30,21 @@ inline constexpr char kCkptMagic[8] = {'C', 'G', 'K', 'G', 'R', 'C', 'K', '1'};
 inline constexpr char kCkptTail[8] = {'C', 'G', 'K', 'G', 'R', 'E', 'N', 'D'};
 inline constexpr uint32_t kCkptVersion = 1;
 
-/// IEEE 802.3 CRC-32 (the zlib polynomial) over `size` bytes. Exposed so
-/// fault-injection tests can forge and verify footers.
+/// IEEE 802.3 CRC-32 (the zlib polynomial, reflected 0xEDB88320) over
+/// `size` bytes, computed slice-by-8: the bytewise algorithm's values at
+/// several times its throughput. Exposed so fault-injection tests can
+/// forge and verify footers.
 uint32_t Crc32(const void* data, size_t size);
+
+/// The operator x^(8·size) mod P of the CRC polynomial, which Crc32Combine
+/// applies to the first part's CRC. It depends only on the second part's
+/// length, so folding many equal-length parts computes it once.
+uint32_t Crc32CombineOp(uint64_t size);
+
+/// Crc32(A‖B) from crc_a = Crc32(A), crc_b = Crc32(B) and
+/// op = Crc32CombineOp(|B|), without touching the bytes: zlib's
+/// crc32_combine (https://github.com/madler/zlib) with the operator hoisted.
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint32_t op);
 
 /// Serializes a stream of type-tagged records into an in-memory payload and
 /// publishes it atomically: `Commit(path)` stages the framed bytes to

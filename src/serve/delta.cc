@@ -1,5 +1,6 @@
 #include "serve/delta.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -22,26 +23,58 @@ uint64_t Mix(uint64_t h, uint64_t value) {
   return h ^ (h >> 27);
 }
 
+/// Crc32 of one user's score row and seen list into `digest`.
+void DigestUser(const Snapshot& snapshot, int64_t user,
+                SnapshotDigest* digest) {
+  const size_t u = static_cast<size_t>(user);
+  digest->score_crcs[u] =
+      ckpt::Crc32(snapshot.UserScores(user),
+                  static_cast<size_t>(snapshot.num_items) * sizeof(float));
+  const std::vector<int64_t>& seen = snapshot.seen[u];
+  digest->seen_crcs[u] =
+      ckpt::Crc32(seen.data(), seen.size() * sizeof(int64_t));
+}
+
 }  // namespace
 
-uint64_t SnapshotFingerprint(const Snapshot& snapshot) {
-  CGKGR_CHECK(snapshot.scores.size() ==
-              static_cast<size_t>(snapshot.num_users * snapshot.num_items));
-  CGKGR_CHECK(snapshot.seen.size() ==
-              static_cast<size_t>(snapshot.num_users));
-  uint64_t h = 0xC6A4A7935BD1E995ULL;
-  h = Mix(h, static_cast<uint64_t>(snapshot.num_users));
-  h = Mix(h, static_cast<uint64_t>(snapshot.num_items));
-  h = Mix(h, ckpt::Crc32(snapshot.scores.data(),
-                         snapshot.scores.size() * sizeof(float)));
-  for (const auto& items : snapshot.seen) {
-    h = Mix(h, ckpt::Crc32(items.data(), items.size() * sizeof(int64_t)));
+SnapshotDigest DigestSnapshot(const Snapshot& snapshot) {
+  CGKGR_CHECK(ValidateSnapshot(snapshot, "DigestSnapshot").ok());
+  SnapshotDigest digest;
+  digest.num_items = snapshot.num_items;
+  digest.score_crcs.resize(static_cast<size_t>(snapshot.num_users));
+  digest.seen_crcs.resize(static_cast<size_t>(snapshot.num_users));
+  for (int64_t user = 0; user < snapshot.num_users; ++user) {
+    DigestUser(snapshot, user, &digest);
   }
+  return digest;
+}
+
+uint64_t SnapshotFingerprint(const SnapshotDigest& digest) {
+  CGKGR_CHECK(digest.score_crcs.size() == digest.seen_crcs.size());
+  // The CRC of the whole row-major matrix, folded from its equal-length
+  // rows: one operator, then one GF(2) multiply per row.
+  const uint32_t row_op = ckpt::Crc32CombineOp(
+      static_cast<uint64_t>(digest.num_items) * sizeof(float));
+  uint32_t scores_crc = 0;  // Crc32 of zero bytes
+  for (const uint32_t row_crc : digest.score_crcs) {
+    scores_crc = ckpt::Crc32Combine(scores_crc, row_crc, row_op);
+  }
+  uint64_t h = 0xC6A4A7935BD1E995ULL;
+  h = Mix(h, static_cast<uint64_t>(digest.score_crcs.size()));
+  h = Mix(h, static_cast<uint64_t>(digest.num_items));
+  h = Mix(h, scores_crc);
+  for (const uint32_t seen_crc : digest.seen_crcs) h = Mix(h, seen_crc);
   return h;
+}
+
+uint64_t SnapshotFingerprint(const Snapshot& snapshot) {
+  return SnapshotFingerprint(DigestSnapshot(snapshot));
 }
 
 Result<SnapshotDelta> BuildDelta(const Snapshot& base,
                                  const Snapshot& target) {
+  CGKGR_RETURN_NOT_OK(ValidateSnapshot(base, "BuildDelta: base"));
+  CGKGR_RETURN_NOT_OK(ValidateSnapshot(target, "BuildDelta: target"));
   if (base.num_users != target.num_users ||
       base.num_items != target.num_items) {
     return Status::InvalidArgument(StrFormat(
@@ -57,8 +90,10 @@ Result<SnapshotDelta> BuildDelta(const Snapshot& base,
   delta.dataset_name = target.dataset_name;
   delta.num_users = target.num_users;
   delta.num_items = target.num_items;
-  delta.base_fingerprint = SnapshotFingerprint(base);
-  delta.target_fingerprint = SnapshotFingerprint(target);
+  // Rows the loop skips are byte-equal to the base's, so they keep the
+  // base's CRCs in the target digest.
+  const SnapshotDigest base_digest = DigestSnapshot(base);
+  SnapshotDigest target_digest = base_digest;
   const size_t row_bytes =
       static_cast<size_t>(target.num_items) * sizeof(float);
   for (int64_t user = 0; user < target.num_users; ++user) {
@@ -76,11 +111,16 @@ Result<SnapshotDelta> BuildDelta(const Snapshot& base,
                       target.UserScores(user) + target.num_items);
     row.seen = target.seen[u];
     delta.rows.push_back(std::move(row));
+    DigestUser(target, user, &target_digest);
   }
+  delta.base_fingerprint = SnapshotFingerprint(base_digest);
+  delta.target_fingerprint = SnapshotFingerprint(target_digest);
   return delta;
 }
 
-Result<Snapshot> ApplyDelta(const Snapshot& base, const SnapshotDelta& delta) {
+Result<PatchedSnapshot> ApplyDelta(const Snapshot& base,
+                                   const SnapshotDigest& base_digest,
+                                   const SnapshotDelta& delta) {
   if (base.num_users != delta.num_users ||
       base.num_items != delta.num_items) {
     return Status::InvalidArgument(StrFormat(
@@ -91,7 +131,10 @@ Result<Snapshot> ApplyDelta(const Snapshot& base, const SnapshotDelta& delta) {
         static_cast<long long>(delta.num_users),
         static_cast<long long>(delta.num_items)));
   }
-  const uint64_t base_fp = SnapshotFingerprint(base);
+  CGKGR_CHECK(base_digest.num_items == base.num_items &&
+              base_digest.score_crcs.size() ==
+                  static_cast<size_t>(base.num_users));
+  const uint64_t base_fp = SnapshotFingerprint(base_digest);
   if (base_fp != delta.base_fingerprint) {
     return Status::InvalidArgument(StrFormat(
         "ApplyDelta: base fingerprint %llx does not match the delta's "
@@ -99,28 +142,32 @@ Result<Snapshot> ApplyDelta(const Snapshot& base, const SnapshotDelta& delta) {
         static_cast<unsigned long long>(base_fp),
         static_cast<unsigned long long>(delta.base_fingerprint)));
   }
-  Snapshot patched = base;
-  patched.model_name = delta.model_name;
-  patched.dataset_name = delta.dataset_name;
+  PatchedSnapshot patched{base, base_digest};
+  Snapshot& out = patched.snapshot;
+  out.model_name = delta.model_name;
+  out.dataset_name = delta.dataset_name;
   for (const DeltaRow& row : delta.rows) {
-    if (row.user < 0 || row.user >= patched.num_users) {
+    if (row.user < 0 || row.user >= out.num_users) {
       return Status::InvalidArgument(StrFormat(
           "ApplyDelta: row user %lld out of range [0, %lld)",
           static_cast<long long>(row.user),
-          static_cast<long long>(patched.num_users)));
+          static_cast<long long>(out.num_users)));
     }
-    if (row.scores.size() != static_cast<size_t>(patched.num_items)) {
+    if (row.scores.size() != static_cast<size_t>(out.num_items)) {
       return Status::InvalidArgument(StrFormat(
           "ApplyDelta: row for user %lld has %zu scores, want %lld",
           static_cast<long long>(row.user), row.scores.size(),
-          static_cast<long long>(patched.num_items)));
+          static_cast<long long>(out.num_items)));
     }
     std::copy(row.scores.begin(), row.scores.end(),
-              patched.scores.begin() +
-                  static_cast<size_t>(row.user * patched.num_items));
-    patched.seen[static_cast<size_t>(row.user)] = row.seen;
+              out.scores.begin() +
+                  static_cast<size_t>(row.user * out.num_items));
+    out.seen[static_cast<size_t>(row.user)] = row.seen;
+    // From the bytes now in the output, not from the delta's copy: the
+    // check below then witnesses what will actually be served.
+    DigestUser(out, row.user, &patched.digest);
   }
-  const uint64_t patched_fp = SnapshotFingerprint(patched);
+  const uint64_t patched_fp = SnapshotFingerprint(patched.digest);
   if (patched_fp != delta.target_fingerprint) {
     return Status::Internal(StrFormat(
         "ApplyDelta: patched fingerprint %llx does not match the delta's "
@@ -197,14 +244,7 @@ Result<SnapshotDelta> LoadDelta(const std::string& path) {
           path.c_str(), static_cast<long long>(row.user), row.scores.size(),
           static_cast<long long>(delta.num_items)));
     }
-    for (int64_t item : row.seen) {
-      if (item < 0 || item >= delta.num_items) {
-        return Status::InvalidArgument(StrFormat(
-            "%s: delta seen item %lld out of range [0, %lld)", path.c_str(),
-            static_cast<long long>(item),
-            static_cast<long long>(delta.num_items)));
-      }
-    }
+    CGKGR_RETURN_NOT_OK(ValidateSeenList(row.seen, delta.num_items, path));
     prev_user = row.user;
     delta.rows.push_back(std::move(row));
   }

@@ -122,17 +122,7 @@ Result<std::unique_ptr<Engine>> Engine::Create(
   if (snapshot == nullptr) {
     return Status::InvalidArgument("Engine::Create: null snapshot");
   }
-  if (snapshot->num_users < 0 || snapshot->num_items < 0 ||
-      snapshot->scores.size() !=
-          static_cast<size_t>(snapshot->num_users * snapshot->num_items) ||
-      snapshot->seen.size() != static_cast<size_t>(snapshot->num_users)) {
-    return Status::InvalidArgument(StrFormat(
-        "Engine::Create: inconsistent snapshot (%lld x %lld, %zu scores, "
-        "%zu seen lists)",
-        static_cast<long long>(snapshot->num_users),
-        static_cast<long long>(snapshot->num_items), snapshot->scores.size(),
-        snapshot->seen.size()));
-  }
+  CGKGR_RETURN_NOT_OK(ValidateSnapshot(*snapshot, "Engine::Create"));
   if (options.num_threads < 1) {
     return Status::InvalidArgument("Engine::Create: num_threads must be >= 1");
   }
@@ -156,6 +146,7 @@ Engine::Engine(std::shared_ptr<const Snapshot> snapshot, EngineOptions options)
       snapshot_(std::move(snapshot)) {
   CGKGR_CHECK(snapshot_ != nullptr);
   CGKGR_CHECK(options_.block_size > 0);
+  digest_ = DigestSnapshot(*snapshot_);
   row_epochs_.assign(static_cast<size_t>(snapshot_->num_users), 0);
   const obs::Labels labels = NextEngineLabels();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
@@ -326,11 +317,13 @@ std::vector<Response> Engine::HandleBatch(
 void Engine::InstallSnapshot(std::shared_ptr<const Snapshot> snapshot,
                              std::string file) {
   CGKGR_CHECK(snapshot != nullptr);
+  SnapshotDigest digest = DigestSnapshot(*snapshot);
   {
     WriterMutexLock lock(&snapshot_mu_);
     ++generation_;
     row_epochs_.assign(static_cast<size_t>(snapshot->num_users), generation_);
     snapshot_ = std::move(snapshot);
+    digest_ = std::move(digest);
     loaded_file_ = std::move(file);
   }
   // Explicit invalidation; the epoch bump above already guarantees
@@ -349,17 +342,21 @@ void Engine::ReloadSnapshot(std::shared_ptr<const Snapshot> snapshot) {
 Status Engine::ApplyDeltaInstall(const SnapshotDelta& delta,
                                  std::string file) {
   // Patch optimistically against the current snapshot outside the writer
-  // lock (the copy is O(users x items)), then swap only if no other reload
-  // raced in between.
+  // lock, then swap only if no other reload raced in between. The digest
+  // carried beside the snapshot makes both fingerprint checks
+  // O(users + changed rows), so ApplyDelta's matrix copy is the only
+  // O(users x items) step of a delta reload.
   std::shared_ptr<const Snapshot> base;
+  SnapshotDigest base_digest;
   {
     ReaderMutexLock lock(&snapshot_mu_);
     base = snapshot_;
+    base_digest = digest_;
   }
-  Result<Snapshot> patched = ApplyDelta(*base, delta);
-  CGKGR_RETURN_NOT_OK(patched.status());
-  auto next =
-      std::make_shared<const Snapshot>(std::move(patched).value());
+  Result<PatchedSnapshot> applied = ApplyDelta(*base, base_digest, delta);
+  CGKGR_RETURN_NOT_OK(applied.status());
+  PatchedSnapshot patched = std::move(applied).value();
+  auto next = std::make_shared<const Snapshot>(std::move(patched.snapshot));
   {
     WriterMutexLock lock(&snapshot_mu_);
     if (snapshot_ != base) {
@@ -373,6 +370,7 @@ Status Engine::ApplyDeltaInstall(const SnapshotDelta& delta,
       row_epochs_[static_cast<size_t>(row.user)] = generation_;
     }
     snapshot_ = std::move(next);
+    digest_ = std::move(patched.digest);
     loaded_file_ = std::move(file);
   }
   // No cache clear: entries for untouched users stay valid (their epoch is

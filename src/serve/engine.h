@@ -67,8 +67,8 @@ class Engine {
   static Result<std::unique_ptr<Engine>> Create(
       std::shared_ptr<const Snapshot> snapshot, const EngineOptions& options);
 
-  /// Direct constructor; CHECK-fails on a null snapshot or non-positive
-  /// block size. Prefer Create() for error handling.
+  /// Direct constructor; CHECK-fails on a null or inconsistent snapshot or
+  /// a non-positive block size. Prefer Create() for error handling.
   Engine(std::shared_ptr<const Snapshot> snapshot, EngineOptions options);
 
   /// Serves one request (block-parallel across the pool's lanes).
@@ -88,12 +88,15 @@ class Engine {
   void ReloadSnapshot(std::shared_ptr<const Snapshot> snapshot)
       CGKGR_EXCLUDES(snapshot_mu_);
 
-  /// Patches the serving snapshot with `delta` (see serve/delta.h),
+  /// Installs a patched copy of the serving snapshot (see serve/delta.h),
   /// invalidating cached results only for the users the delta touches.
   /// Fails with InvalidArgument when the delta does not apply to the
-  /// serving snapshot (dimension or base-fingerprint mismatch) and leaves
-  /// the engine serving its current snapshot untouched. Safe concurrent
-  /// with serving.
+  /// serving snapshot (dimension or base-fingerprint mismatch), and with
+  /// Internal when the patched rows miss the delta's target fingerprint;
+  /// either way the engine keeps serving its current snapshot and
+  /// generation. Both checks fold the digest kept beside the snapshot, so
+  /// the fingerprint work is O(users + changed rows). Safe concurrent with
+  /// serving.
   Status ApplyDeltaSnapshot(const SnapshotDelta& delta)
       CGKGR_EXCLUDES(snapshot_mu_);
 
@@ -173,9 +176,10 @@ class Engine {
   const EngineOptions options_;
   ThreadPool pool_;
 
-  /// Swaps in `snapshot`, bumps the generation, records which directory
-  /// file it came from ("" for direct ReloadSnapshot calls), resets every
-  /// user's row epoch to the new generation, and clears the cache.
+  /// Digests `snapshot`, swaps it and its digest in, bumps the generation,
+  /// records which directory file it came from ("" for direct
+  /// ReloadSnapshot calls), resets every user's row epoch to the new
+  /// generation, and clears the cache.
   void InstallSnapshot(std::shared_ptr<const Snapshot> snapshot,
                        std::string file) CGKGR_EXCLUDES(snapshot_mu_);
 
@@ -185,6 +189,11 @@ class Engine {
 
   mutable SharedMutex snapshot_mu_;
   std::shared_ptr<const Snapshot> snapshot_ CGKGR_GUARDED_BY(snapshot_mu_);
+  /// The per-user CRCs of *snapshot_, swapped together with it. A delta
+  /// install patches it forward instead of re-reading the matrix. It lives
+  /// here rather than in Snapshot because callers copy a Snapshot and
+  /// write its rows in place, which would leave a cached digest stale.
+  SnapshotDigest digest_ CGKGR_GUARDED_BY(snapshot_mu_);
   uint64_t generation_ CGKGR_GUARDED_BY(snapshot_mu_) = 0;
   /// Per-user cache epoch: the generation that last changed the user's
   /// row. Cache keys embed it, so bumping one user's epoch invalidates

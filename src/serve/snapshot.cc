@@ -17,6 +17,40 @@ namespace {
 const char kSnapshotSection[] = "serve-snapshot";
 }  // namespace
 
+Status ValidateSnapshot(const Snapshot& snapshot, const char* caller) {
+  if (snapshot.num_users < 0 || snapshot.num_items < 0 ||
+      snapshot.scores.size() !=
+          static_cast<size_t>(snapshot.num_users * snapshot.num_items) ||
+      snapshot.seen.size() != static_cast<size_t>(snapshot.num_users)) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: inconsistent snapshot (%lld x %lld, %zu scores, %zu seen "
+        "lists)",
+        caller, static_cast<long long>(snapshot.num_users),
+        static_cast<long long>(snapshot.num_items), snapshot.scores.size(),
+        snapshot.seen.size()));
+  }
+  return Status::OK();
+}
+
+Status ValidateSeenList(const std::vector<int64_t>& seen, int64_t num_items,
+                        const std::string& origin) {
+  for (size_t i = 0; i < seen.size(); ++i) {
+    if (seen[i] < 0 || seen[i] >= num_items) {
+      return Status::InvalidArgument(StrFormat(
+          "%s: seen item %lld out of range [0, %lld)", origin.c_str(),
+          static_cast<long long>(seen[i]),
+          static_cast<long long>(num_items)));
+    }
+    if (i > 0 && seen[i] < seen[i - 1]) {
+      return Status::InvalidArgument(StrFormat(
+          "%s: seen list out of order (%lld after %lld)", origin.c_str(),
+          static_cast<long long>(seen[i]),
+          static_cast<long long>(seen[i - 1])));
+    }
+  }
+  return Status::OK();
+}
+
 Snapshot BuildSnapshot(models::RecommenderModel* model,
                        const data::Dataset& dataset) {
   CGKGR_CHECK(model != nullptr);
@@ -40,10 +74,7 @@ Snapshot BuildSnapshot(models::RecommenderModel* model,
 }
 
 Status SaveSnapshot(const Snapshot& snapshot, const std::string& path) {
-  CGKGR_CHECK(snapshot.scores.size() ==
-              static_cast<size_t>(snapshot.num_users * snapshot.num_items));
-  CGKGR_CHECK(snapshot.seen.size() ==
-              static_cast<size_t>(snapshot.num_users));
+  CGKGR_CHECK(ValidateSnapshot(snapshot, "SaveSnapshot").ok());
   ckpt::Writer writer;
   writer.BeginSection(kSnapshotSection);
   writer.WriteString(snapshot.model_name);
@@ -96,14 +127,7 @@ Result<Snapshot> LoadSnapshot(const std::string& path) {
   snapshot.seen.resize(static_cast<size_t>(snapshot.num_users));
   for (auto& items : snapshot.seen) {
     CGKGR_RETURN_NOT_OK(reader.ReadI64s(&items));
-    for (int64_t item : items) {
-      if (item < 0 || item >= snapshot.num_items) {
-        return Status::InvalidArgument(StrFormat(
-            "%s: seen item %lld out of range [0, %lld)", path.c_str(),
-            static_cast<long long>(item),
-            static_cast<long long>(snapshot.num_items)));
-      }
-    }
+    CGKGR_RETURN_NOT_OK(ValidateSeenList(items, snapshot.num_items, path));
   }
   if (!reader.AtEnd()) {
     return Status::InvalidArgument(

@@ -39,6 +39,19 @@ struct Snapshot {
   }
 };
 
+/// InvalidArgument, prefixed with `caller`, when the dimensions are
+/// negative or the score matrix or seen lists disagree with them: the shape
+/// every reader of a Snapshot indexes by.
+Status ValidateSnapshot(const Snapshot& snapshot, const char* caller);
+
+/// InvalidArgument, prefixed with `origin`, unless every id in `seen` is in
+/// [0, num_items) and the list is non-decreasing. The engine's seen filter
+/// walks a list as ascending runs; repeated ids are legal, because the
+/// train split keeps repeated (user, item) pairs. LoadSnapshot and
+/// LoadDelta check every list they read.
+Status ValidateSeenList(const std::vector<int64_t>& seen, int64_t num_items,
+                        const std::string& origin);
+
 /// Batch-scores every (user, item) pair of the dataset through the trained
 /// model and packages the result with train-split seen lists. Each user's
 /// row goes through eval::RowScorer, the loop eval::EvaluateTopK ranks
@@ -56,8 +69,9 @@ Status SaveSnapshot(const Snapshot& snapshot, const std::string& path);
 
 /// Loads a snapshot previously written by SaveSnapshot. Every corruption
 /// mode — flipped bits (CRC), truncated or oversized payloads, dimension /
-/// score-count mismatches, out-of-range seen items — surfaces as a
-/// descriptive non-OK Status, never a crash or a misaligned matrix.
+/// score-count mismatches, out-of-range or out-of-order seen items —
+/// surfaces as a descriptive non-OK Status, never a crash or a misaligned
+/// matrix.
 Result<Snapshot> LoadSnapshot(const std::string& path);
 
 }  // namespace serve

@@ -24,6 +24,7 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/io.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "data/synthetic.h"
 #include "models/registry.h"
 #include "models/trainer_util.h"
@@ -255,6 +256,75 @@ TEST(CkptIoTest, OpenRejectsEveryCorruptionMode) {
   // The pristine image still validates (the harness itself is sound).
   WriteFile(path, good);
   EXPECT_TRUE(Reader::Open(path).ok());
+}
+
+// --- CRC-32 -------------------------------------------------------------
+
+/// The bit-at-a-time CRC-32 (reflected 0xEDB88320), kept as the reference
+/// that Crc32's slice-by-8 tables must reproduce.
+uint32_t BitwiseCrc32(const unsigned char* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(size);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.UniformInt(256));
+  }
+  return bytes;
+}
+
+TEST(CkptCrcTest, MatchesTheStandardCheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(CkptCrcTest, SliceBy8MatchesBitwiseAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> bytes = RandomBytes(64 + 8, 17);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      EXPECT_EQ(Crc32(bytes.data() + offset, length),
+                BitwiseCrc32(bytes.data() + offset, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  const std::vector<unsigned char> large = RandomBytes((4 << 20) + 5, 18);
+  EXPECT_EQ(Crc32(large.data() + 1, large.size() - 1),
+            BitwiseCrc32(large.data() + 1, large.size() - 1));
+}
+
+TEST(CkptCrcTest, CombineEqualsCrcOfConcatenation) {
+  const std::vector<unsigned char> bytes = RandomBytes(300, 19);
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                       size_t{129}, size_t{299}, size_t{300}}) {
+    const size_t rest = bytes.size() - split;
+    EXPECT_EQ(Crc32Combine(Crc32(bytes.data(), split),
+                           Crc32(bytes.data() + split, rest),
+                           Crc32CombineOp(rest)),
+              whole)
+        << "split at " << split;
+  }
+  EXPECT_EQ(Crc32Combine(0, 0, Crc32CombineOp(0)), 0u);  // both empty
+
+  // One operator folds many equal-length parts, as the snapshot
+  // fingerprint folds its score rows.
+  constexpr size_t kPart = 148;
+  const std::vector<unsigned char> parts = RandomBytes(16 * kPart, 20);
+  const uint32_t op = Crc32CombineOp(kPart);
+  uint32_t folded = 0;
+  for (size_t begin = 0; begin < parts.size(); begin += kPart) {
+    folded = Crc32Combine(folded, Crc32(parts.data() + begin, kPart), op);
+  }
+  EXPECT_EQ(folded, Crc32(parts.data(), parts.size()));
 }
 
 // --- manifest + retention ----------------------------------------------

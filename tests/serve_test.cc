@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "data/synthetic.h"
 #include "eval/protocol.h"
 #include "models/registry.h"
@@ -176,6 +178,38 @@ TEST(SnapshotTest, LoadRejectsByteChoppedAndOversizedSnapshots) {
   EXPECT_FALSE(LoadSnapshot(chopped_path).ok());
   // The pristine image still loads (the harness itself is sound).
   EXPECT_TRUE(LoadSnapshot(path).ok());
+}
+
+// Regression test: the engine's seen filter splits each row into runs
+// between consecutive seen ids, so a list that goes backwards served seen
+// items and repeated others. LoadSnapshot refuses it; repeated ids stay
+// legal (the train split keeps repeated (user, item) pairs).
+TEST(SnapshotTest, LoadRejectsOutOfOrderSeenList) {
+  Snapshot snapshot;
+  snapshot.model_name = "m";
+  snapshot.dataset_name = "d";
+  snapshot.num_users = 1;
+  snapshot.num_items = 12;
+  for (int64_t item = 0; item < snapshot.num_items; ++item) {
+    snapshot.scores.push_back(static_cast<float>(snapshot.num_items - item));
+  }
+  snapshot.seen = {{5, 2}};
+  const std::string path = "/tmp/cgkgr_serve_test_unsorted.snapshot";
+  ASSERT_TRUE(SaveSnapshot(snapshot, path).ok());
+  EXPECT_EQ(LoadSnapshot(path).status().code(),
+            StatusCode::kInvalidArgument);
+
+  snapshot.seen = {{2, 2, 5}};
+  ASSERT_TRUE(SaveSnapshot(snapshot, path).ok());
+  Result<Snapshot> loaded = LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Engine engine(std::make_shared<const Snapshot>(std::move(loaded).value()),
+                EngineOptions{});
+  std::vector<int64_t> served;
+  for (const ScoredItem& item : TopKItems(&engine, 0, 5)) {
+    served.push_back(item.item);
+  }
+  EXPECT_EQ(served, (std::vector<int64_t>{0, 1, 3, 4, 6}));
 }
 
 TEST(SnapshotTest, BuildSnapshotMatchesModelScores) {
@@ -487,15 +521,20 @@ TEST(DeltaTest, ApplyDeltaIsBitExactWithFullRebuild) {
   const Snapshot target = TinySnapshotV2();
   Result<SnapshotDelta> delta = BuildDelta(base, target);
   ASSERT_TRUE(delta.ok());
-  Result<Snapshot> patched = ApplyDelta(base, delta.value());
-  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
-  ASSERT_EQ(patched.value().scores.size(), target.scores.size());
+  Result<PatchedSnapshot> applied =
+      ApplyDelta(base, DigestSnapshot(base), delta.value());
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  const Snapshot& patched = applied.value().snapshot;
+  ASSERT_EQ(patched.scores.size(), target.scores.size());
   for (size_t i = 0; i < target.scores.size(); ++i) {
-    EXPECT_EQ(patched.value().scores[i], target.scores[i]) << "score " << i;
+    EXPECT_EQ(patched.scores[i], target.scores[i]) << "score " << i;
   }
-  EXPECT_EQ(patched.value().seen, target.seen);
-  EXPECT_EQ(SnapshotFingerprint(patched.value()),
-            SnapshotFingerprint(target));
+  EXPECT_EQ(patched.seen, target.seen);
+  EXPECT_EQ(SnapshotFingerprint(patched), SnapshotFingerprint(target));
+  // The patched digest is the target's, computed from scratch.
+  const SnapshotDigest expected = DigestSnapshot(target);
+  EXPECT_EQ(applied.value().digest.score_crcs, expected.score_crcs);
+  EXPECT_EQ(applied.value().digest.seen_crcs, expected.seen_crcs);
 }
 
 TEST(DeltaTest, ApplyDeltaRejectsMismatchedBase) {
@@ -505,8 +544,9 @@ TEST(DeltaTest, ApplyDeltaRejectsMismatchedBase) {
   ASSERT_TRUE(delta.ok());
   // Applying to the wrong base (the target itself) must be refused: the
   // delta pins its base by fingerprint.
-  EXPECT_EQ(ApplyDelta(target, delta.value()).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      ApplyDelta(target, DigestSnapshot(target), delta.value()).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(DeltaTest, BuildDeltaRejectsDimensionChanges) {
@@ -517,6 +557,127 @@ TEST(DeltaTest, BuildDeltaRejectsDimensionChanges) {
   resized.seen.resize(3);
   EXPECT_EQ(BuildDelta(base, resized).status().code(),
             StatusCode::kInvalidArgument);
+  // A snapshot whose vectors disagree with its own dimensions is refused
+  // on either side, as Engine::Create refuses it.
+  Snapshot short_scores = TinySnapshot();
+  short_scores.scores.pop_back();
+  Snapshot short_seen = TinySnapshot();
+  short_seen.seen.pop_back();
+  for (const Snapshot* inconsistent : {&short_scores, &short_seen}) {
+    EXPECT_EQ(BuildDelta(base, *inconsistent).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(BuildDelta(*inconsistent, base).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(DeltaTest, ApplyDeltaRejectsTamperedRow) {
+  const Snapshot base = TinySnapshot();
+  Result<SnapshotDelta> built = BuildDelta(base, TinySnapshotV2());
+  ASSERT_TRUE(built.ok());
+  SnapshotDelta tampered = built.value();
+  ASSERT_EQ(tampered.rows.size(), 1u);
+  // Flip the lowest bit of one score: the base still matches, so only the
+  // check of the output against the recorded target can catch it.
+  float* score = &tampered.rows[0].scores[1];
+  uint32_t bits = 0;
+  std::memcpy(&bits, score, sizeof(bits));
+  bits ^= 1u;
+  std::memcpy(score, &bits, sizeof(bits));
+  EXPECT_EQ(ApplyDelta(base, DigestSnapshot(base), tampered).status().code(),
+            StatusCode::kInternal);
+
+  EngineOptions options;
+  options.cache_capacity = 0;  // every query reads the served rows
+  Engine engine(std::make_shared<const Snapshot>(base), options);
+  const auto user1_before = TopKItems(&engine, 1, 3);
+  EXPECT_EQ(engine.ApplyDeltaSnapshot(tampered).code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(engine.generation(), 0u);
+  EXPECT_EQ(SnapshotFingerprint(*engine.snapshot()),
+            SnapshotFingerprint(base));
+  EXPECT_EQ(TopKItems(&engine, 1, 3), user1_before);
+}
+
+/// One engine chains seeded random deltas of every shape; after each, the
+/// from-scratch fingerprint of the served snapshot is the delta's target.
+TEST(DeltaTest, ChainedRandomDeltasReachEveryTarget) {
+  constexpr int64_t kUsers = 12;
+  constexpr int64_t kItems = 37;  // 148-byte rows: not a multiple of 8
+  Rng rng(4242);
+  Snapshot current;
+  current.model_name = "chain";
+  current.dataset_name = "random";
+  current.num_users = kUsers;
+  current.num_items = kItems;
+  current.scores.resize(static_cast<size_t>(kUsers * kItems));
+  for (float& score : current.scores) score = rng.Normal();
+  current.seen.resize(static_cast<size_t>(kUsers));
+  for (auto& seen : current.seen) {
+    seen = rng.SampleWithoutReplacement(kItems, rng.UniformRange(0, 6));
+    std::sort(seen.begin(), seen.end());
+  }
+  const auto rescore = [&](Snapshot* next, int64_t user) {
+    float* row = next->scores.data() + user * kItems;
+    for (int64_t item = 0; item < kItems; ++item) row[item] = rng.Normal();
+  };
+  const auto reseen = [&](Snapshot* next, int64_t user) {
+    auto& seen = next->seen[static_cast<size_t>(user)];
+    seen = rng.SampleWithoutReplacement(kItems, rng.UniformRange(1, 8));
+    std::sort(seen.begin(), seen.end());
+  };
+  enum class Shape { kScoresOnly, kSeenOnly, kEmpty, kAllRows, kMixed };
+  const std::vector<Shape> shapes = {Shape::kScoresOnly, Shape::kSeenOnly,
+                                     Shape::kEmpty,      Shape::kAllRows,
+                                     Shape::kMixed,      Shape::kScoresOnly,
+                                     Shape::kMixed};
+
+  Engine engine(std::make_shared<const Snapshot>(current), EngineOptions{});
+  uint64_t generation = engine.generation();
+  for (size_t step = 0; step < shapes.size(); ++step) {
+    Snapshot next = current;
+    const std::vector<int64_t> users =
+        rng.SampleWithoutReplacement(kUsers, 3);
+    switch (shapes[step]) {
+      case Shape::kScoresOnly:
+        for (int64_t user : users) rescore(&next, user);
+        break;
+      case Shape::kSeenOnly:
+        for (int64_t user : users) reseen(&next, user);
+        break;
+      case Shape::kEmpty:
+        break;
+      case Shape::kAllRows:
+        for (int64_t user = 0; user < kUsers; ++user) rescore(&next, user);
+        break;
+      case Shape::kMixed:
+        rescore(&next, users[0]);
+        reseen(&next, users[1]);
+        rescore(&next, users[2]);
+        reseen(&next, users[2]);
+        break;
+    }
+    Result<SnapshotDelta> delta = BuildDelta(current, next);
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    if (shapes[step] == Shape::kEmpty) {
+      EXPECT_TRUE(delta.value().rows.empty());
+    }
+    if (shapes[step] == Shape::kAllRows) {
+      EXPECT_EQ(delta.value().rows.size(), static_cast<size_t>(kUsers));
+    }
+    ASSERT_TRUE(engine.ApplyDeltaSnapshot(delta.value()).ok())
+        << "step " << step;
+    EXPECT_EQ(engine.generation(), ++generation);
+    const std::shared_ptr<const Snapshot> served = engine.snapshot();
+    EXPECT_EQ(SnapshotFingerprint(*served), delta.value().target_fingerprint)
+        << "step " << step;
+    EXPECT_EQ(SnapshotFingerprint(next), delta.value().target_fingerprint);
+    EXPECT_EQ(std::memcmp(served->scores.data(), next.scores.data(),
+                          next.scores.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(served->seen, next.seen);
+    current = std::move(next);
+  }
 }
 
 /// `name` from the registry with small hyper-parameters, trained for two
@@ -598,9 +759,10 @@ TEST(DeltaTest, SaveLoadRoundTripAndCorruptionRejection) {
   EXPECT_EQ(loaded.value().rows[0].user, delta.value().rows[0].user);
   EXPECT_EQ(loaded.value().rows[0].scores, delta.value().rows[0].scores);
   // The loaded delta still applies bit-exactly.
-  Result<Snapshot> patched = ApplyDelta(base, loaded.value());
+  Result<PatchedSnapshot> patched =
+      ApplyDelta(base, DigestSnapshot(base), loaded.value());
   ASSERT_TRUE(patched.ok());
-  EXPECT_EQ(SnapshotFingerprint(patched.value()),
+  EXPECT_EQ(SnapshotFingerprint(patched.value().snapshot),
             SnapshotFingerprint(target));
 
   // Byte-chopped at every length (and with trailing garbage): always a
@@ -625,6 +787,25 @@ TEST(DeltaTest, SaveLoadRoundTripAndCorruptionRejection) {
     out << image << "extra";
   }
   EXPECT_FALSE(LoadDelta(chopped_path).ok());
+}
+
+TEST(DeltaTest, LoadDeltaRejectsOutOfOrderSeenList) {
+  Snapshot target = TinySnapshotV2();
+  target.seen[1] = {2, 0};
+  Result<SnapshotDelta> delta = BuildDelta(TinySnapshot(), target);
+  ASSERT_TRUE(delta.ok());
+  const std::string path = "/tmp/cgkgr_serve_test_unsorted.delta";
+  ASSERT_TRUE(SaveDelta(delta.value(), path).ok());
+  EXPECT_EQ(LoadDelta(path).status().code(), StatusCode::kInvalidArgument);
+
+  // Repeated ids stay legal.
+  target.seen[1] = {0, 0, 2};
+  delta = BuildDelta(TinySnapshot(), target);
+  ASSERT_TRUE(delta.ok());
+  ASSERT_TRUE(SaveDelta(delta.value(), path).ok());
+  Result<SnapshotDelta> loaded = LoadDelta(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().rows[0].seen, target.seen[1]);
 }
 
 // --- Request API ---

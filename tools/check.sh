@@ -18,15 +18,17 @@
 #                            cgkgr_model_test + serve_test, whose CG-KGR
 #                            scoring runs forwards on parallel lanes).
 #        CGKGR_CHECK_ASAN=1  AddressSanitizer over the memory-heavy tests
-#                            (tensor_test, autograd_test, ckpt_test) and
-#                            the model zoo (baselines_test), whose
-#                            parameters live in the shared
-#                            models::RecommenderModel base.
+#                            (tensor_test, autograd_test, ckpt_test), the
+#                            model zoo (baselines_test), whose parameters
+#                            live in the shared models::RecommenderModel
+#                            base, and serve_test, whose snapshot digest
+#                            and delta apply index score rows by offset.
 #        CGKGR_CHECK_UBSAN=1 UndefinedBehaviorSanitizer over the numeric
 #                            core (tensor_test, autograd_test,
 #                            cgkgr_model_test), the model zoo
-#                            (baselines_test) and the checkpoint byte
-#                            codec (ckpt_test).
+#                            (baselines_test), the checkpoint byte codec
+#                            and its CRC (ckpt_test), and the snapshot
+#                            digest fold and row offsets (serve_test).
 #   4. Perf-regression gate, opt-in because it runs real training:
 #        CGKGR_CHECK_BENCH=1 runs cgkgr_bench on the committed smoke spec
 #                            (bench/specs/smoke.json), then diffs the new
@@ -113,14 +115,15 @@ fi
 
 if [ "${CGKGR_CHECK_ASAN:-0}" = "1" ]; then
   run_sanitizer AddressSanitizer address build-asan \
-    tensor_test autograd_test ckpt_test baselines_test
+    tensor_test autograd_test ckpt_test baselines_test serve_test
 else
   echo "== AddressSanitizer: SKIPPED (set CGKGR_CHECK_ASAN=1 to enable) =="
 fi
 
 if [ "${CGKGR_CHECK_UBSAN:-0}" = "1" ]; then
   run_sanitizer UndefinedBehaviorSanitizer undefined build-ubsan \
-    tensor_test autograd_test cgkgr_model_test ckpt_test baselines_test
+    tensor_test autograd_test cgkgr_model_test ckpt_test baselines_test \
+    serve_test
 else
   echo "== UndefinedBehaviorSanitizer: SKIPPED (set CGKGR_CHECK_UBSAN=1 to enable) =="
 fi
