@@ -311,13 +311,8 @@ Variable SegmentWeightedSum(const Variable& values, const Variable& weights,
   const int64_t segments = tv.dim(0) / segment_size;
   const int64_t d = tv.dim(1);
   tensor::Tensor out({segments, d});
-  for (int64_t s = 0; s < segments; ++s) {
-    float* o = out.data() + s * d;
-    for (int64_t i = 0; i < segment_size; ++i) {
-      const int64_t row = s * segment_size + i;
-      tensor::Axpy(d, tw[row], tv.data() + row * d, o);
-    }
-  }
+  tensor::SegmentWeightedSum(segments, segment_size, d, tv.data(), tw.data(),
+                             out.data());
   return MakeOpResult(
       "SegmentWeightedSum", std::move(out), {values, weights},
       [segments, segment_size, d](Node* node) {
@@ -374,7 +369,7 @@ Variable UnaryFromOutput(const char* op_name, const Variable& x, Forward fwd,
 
 Variable Relu(const Variable& x) {
   return UnaryFromOutput(
-      "Relu", x, [](float v) { return v > 0.0f ? v : 0.0f; },
+      "Relu", x, [](float v) { return tensor::Relu(v); },
       [](float y) { return y > 0.0f ? 1.0f : 0.0f; });
 }
 
@@ -382,7 +377,7 @@ Variable LeakyRelu(const Variable& x, float negative_slope) {
   return UnaryFromOutput(
       "LeakyRelu", x,
       [negative_slope](float v) {
-        return v > 0.0f ? v : negative_slope * v;
+        return tensor::LeakyRelu(v, negative_slope);
       },
       [negative_slope](float y) {
         return y > 0.0f ? 1.0f : negative_slope;
@@ -391,7 +386,7 @@ Variable LeakyRelu(const Variable& x, float negative_slope) {
 
 Variable Tanh(const Variable& x) {
   return UnaryFromOutput(
-      "Tanh", x, [](float v) { return std::tanh(v); },
+      "Tanh", x, [](float v) { return tensor::Tanh(v); },
       [](float y) { return 1.0f - y * y; });
 }
 
@@ -485,16 +480,8 @@ Variable RelationMatMul(const Variable& x, std::vector<int64_t> relations,
   const int64_t num_relations = tm.dim(0);
   CGKGR_CHECK(static_cast<int64_t>(relations.size()) == n);
   tensor::Tensor out({n, d});
-  for (int64_t r = 0; r < n; ++r) {
-    const int64_t rel = relations[static_cast<size_t>(r)];
-    CGKGR_CHECK_MSG(rel >= 0 && rel < num_relations,
-                    "relation id %lld out of range [0, %lld)",
-                    static_cast<long long>(rel),
-                    static_cast<long long>(num_relations));
-    // out_row = x_row * M[rel]  (row vector times matrix).
-    tensor::Gemm(false, false, 1, d, d, 1.0f, tx.data() + r * d,
-                 tm.data() + rel * d * d, 0.0f, out.data() + r * d);
-  }
+  tensor::RelationMatMul(n, d, num_relations, tx.data(), relations.data(),
+                         tm.data(), out.data());
   auto rels = std::make_shared<std::vector<int64_t>>(std::move(relations));
   return MakeOpResult(
       "RelationMatMul", std::move(out), {x, matrices},

@@ -1,6 +1,7 @@
 #include "core/cgkgr_model.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -8,6 +9,7 @@
 #include "common/thread_pool.h"
 #include "models/trainer_util.h"
 #include "obs/trace.h"
+#include "tensor/tensor_ops.h"
 
 namespace cgkgr {
 namespace core {
@@ -21,16 +23,50 @@ using autograd::Variable;
 /// while a 1,024-pair chunk still yields 16 tasks per pass.
 constexpr int64_t kSliceRows = 64;
 
-/// Rows [begin, end) of `values`, whose `rows` rows own equal contiguous
-/// blocks (an empty array stays empty).
-std::vector<int64_t> RowBlock(const std::vector<int64_t>& values,
-                              int64_t rows, int64_t begin, int64_t end) {
-  const int64_t width = static_cast<int64_t>(values.size()) / rows;
-  CGKGR_CHECK(width * rows == static_cast<int64_t>(values.size()));
-  return std::vector<int64_t>(values.begin() + begin * width,
-                              values.begin() + end * width);
+/// `buffer` with room for at least `size` floats. Scratch only grows, so a
+/// task's buffers settle after its first slice.
+float* Grow(std::vector<float>* buffer, int64_t size) {
+  if (static_cast<int64_t>(buffer->size()) < size) {
+    buffer->resize(static_cast<size_t>(size));
+  }
+  return buffer->data();
+}
+
+/// autograd::Gather's forward on raw rows: `n` rows of `table` at `ids`,
+/// with its range check.
+void GatherRows(const nn::EmbeddingTable& table, const int64_t* ids,
+                int64_t n, float* out) {
+  const int64_t rows = table.count();
+  const int64_t d = table.dim();
+  const float* values = table.table().value().data();
+  for (int64_t i = 0; i < n; ++i) {
+    CGKGR_CHECK_MSG(ids[i] >= 0 && ids[i] < rows,
+                    "Gather index %lld out of [0, %lld)",
+                    static_cast<long long>(ids[i]),
+                    static_cast<long long>(rows));
+    std::copy_n(values + ids[i] * d, d, out + i * d);
+  }
 }
 }  // namespace
+
+struct CgKgrModel::ScoreScratch {
+  std::vector<float> vu_raw;       // (rows, d)
+  std::vector<float> vi_raw;       // (rows, d)
+  std::vector<float> vu;           // (rows, d)
+  std::vector<float> vi;           // (rows, d)
+  std::vector<float> guidance;     // (rows, d)
+  std::vector<float> neighbors;    // (rows * |S|, d)
+  std::vector<float> transformed;  // (rows, d): centers times one head
+  std::vector<float> guided;       // (parents, d): v_p (.) f
+  std::vector<float> products;     // (K, d): one parent's relation products
+  std::vector<float> logits;       // one per neighbor or KG child
+  std::vector<float> weights;      // one per neighbor or KG child
+  std::vector<float> pooled;       // (parents, d): the head average
+  std::vector<float> head_pooled;  // (parents, d): one head's pooling
+  std::vector<float> agg_in;       // (parents, d or 2d)
+  std::vector<float> next_hop;     // (parents, d)
+  std::vector<std::vector<float>> hops;  // hop l: (rows * K^l, d)
+};
 
 CgKgrModel::CgKgrModel(CgKgrConfig config, std::string name)
     : RecommenderModel(config.learning_rate, config.l2,
@@ -136,23 +172,6 @@ CgKgrModel::BatchGraph CgKgrModel::SampleBatch(
         config_.sampling_strategy);
   }
   return batch;
-}
-
-CgKgrModel::BatchGraph CgKgrModel::SliceRows(const BatchGraph& batch,
-                                             int64_t begin, int64_t end) {
-  const int64_t rows = static_cast<int64_t>(batch.users.size());
-  BatchGraph slice;
-  slice.users = RowBlock(batch.users, rows, begin, end);
-  slice.items = RowBlock(batch.items, rows, begin, end);
-  slice.user_neighbors = RowBlock(batch.user_neighbors, rows, begin, end);
-  slice.item_neighbors = RowBlock(batch.item_neighbors, rows, begin, end);
-  for (size_t l = 0; l < batch.flow.entities.size(); ++l) {
-    slice.flow.entities.push_back(
-        RowBlock(batch.flow.entities[l], rows, begin, end));
-    slice.flow.relations.push_back(
-        RowBlock(batch.flow.relations[l], rows, begin, end));
-  }
-  return slice;
 }
 
 Variable CgKgrModel::InteractiveAttentionPool(const Variable& centers,
@@ -312,6 +331,206 @@ Variable CgKgrModel::Forward(const BatchGraph& batch,
   return autograd::RowDot(vu, item_final);
 }
 
+void CgKgrModel::InteractiveAttentionPoolRows(int64_t n,
+                                              const float* centers,
+                                              const float* neighbors,
+                                              int64_t segment,
+                                              ScoreScratch* scratch) const {
+  // InteractiveAttentionPool repeats each center `segment` times before the
+  // head transform; the repeats are equal rows, so transform each once.
+  const int64_t d = config_.embedding_dim;
+  const int64_t children = n * segment;
+  float* transformed = Grow(&scratch->transformed, n * d);
+  float* logits = Grow(&scratch->logits, children);
+  float* weights = Grow(&scratch->weights, children);
+  float* pooled = Grow(&scratch->pooled, n * d);
+  float* head_pooled = Grow(&scratch->head_pooled, n * d);
+  for (size_t h = 0; h < interact_heads_.size(); ++h) {
+    tensor::Gemm(false, false, n, d, d, 1.0f, centers,
+                 interact_heads_[h].value().data(), 0.0f, transformed);
+    for (int64_t c = 0; c < children; ++c) {
+      logits[c] = tensor::Dot(d, transformed + c / segment * d,
+                              neighbors + c * d);
+    }
+    tensor::SegmentSoftmax(n, segment, logits, weights);
+    tensor::SegmentWeightedSum(n, segment, d, neighbors, weights,
+                               h == 0 ? pooled : head_pooled);
+    // Adds the head in place with Add's bits (1 * x == x).
+    if (h > 0) tensor::Axpy(n * d, 1.0f, head_pooled, pooled);
+  }
+  tensor::ScaleInPlace(n * d,
+                       1.0f / static_cast<float>(interact_heads_.size()),
+                       pooled);
+}
+
+void CgKgrModel::AggregateRows(const nn::Dense& dense, int64_t n,
+                               const float* self, const float* neighbors,
+                               ScoreScratch* scratch, float* out) const {
+  const int64_t d = config_.embedding_dim;
+  switch (config_.aggregator) {
+    case AggregatorType::kSum: {
+      float* sum = Grow(&scratch->agg_in, n * d);
+      tensor::Add(n * d, self, neighbors, sum);
+      dense.ApplyRows(n, sum, out);
+      return;
+    }
+    case AggregatorType::kConcat: {
+      float* concat = Grow(&scratch->agg_in, n * 2 * d);
+      for (int64_t r = 0; r < n; ++r) {
+        std::copy_n(self + r * d, d, concat + r * 2 * d);
+        std::copy_n(neighbors + r * d, d, concat + r * 2 * d + d);
+      }
+      dense.ApplyRows(n, concat, out);
+      return;
+    }
+    case AggregatorType::kNeighbor:
+      dense.ApplyRows(n, neighbors, out);
+      return;
+  }
+  CGKGR_CHECK_MSG(false, "unreachable aggregator");
+}
+
+void CgKgrModel::EncodeGuidanceRows(int64_t n, const float* vu,
+                                    const float* vi, float* out) const {
+  const int64_t size = n * config_.embedding_dim;
+  switch (config_.encoder) {
+    case EncoderType::kSum:
+      tensor::Add(size, vu, vi, out);
+      return;
+    case EncoderType::kMean:
+      tensor::Add(size, vu, vi, out);
+      tensor::ScaleInPlace(size, 0.5f, out);
+      return;
+    case EncoderType::kPairwiseMax:
+      for (int64_t i = 0; i < size; ++i) out[i] = std::max(vu[i], vi[i]);
+      return;
+  }
+  CGKGR_CHECK_MSG(false, "unreachable encoder");
+}
+
+void CgKgrModel::ScoreRows(const BatchGraph& batch, int64_t begin,
+                           int64_t end, ScoreScratch* scratch,
+                           float* out) const {
+  // Forward's steps in its order, each as the same per-row kernel, so every
+  // score keeps Forward's bits (docs/kernels.md, "Association policy").
+  const int64_t rows = end - begin;
+  const int64_t d = config_.embedding_dim;
+  float* vu_raw = Grow(&scratch->vu_raw, rows * d);
+  float* vi_raw = Grow(&scratch->vi_raw, rows * d);
+  GatherRows(*user_table_, batch.users.data() + begin, rows, vu_raw);
+  GatherRows(*entity_table_, batch.items.data() + begin, rows, vi_raw);
+
+  // --- 1. interactive information summarization (Eqs. 3-6) ---
+  const float* vu = vu_raw;
+  const float* vi = vi_raw;
+  if (config_.use_interactive_summarization) {
+    const int64_t su = config_.user_sample_size;
+    float* neighbors = Grow(&scratch->neighbors, rows * su * d);
+    GatherRows(*entity_table_, batch.user_neighbors.data() + begin * su,
+               rows * su, neighbors);
+    InteractiveAttentionPoolRows(rows, vu_raw, neighbors, su, scratch);
+    float* vu_summary = Grow(&scratch->vu, rows * d);
+    AggregateRows(*agg_user_, rows, vu_raw, scratch->pooled.data(), scratch,
+                  vu_summary);
+    vu = vu_summary;
+    const int64_t si = config_.item_sample_size;
+    neighbors = Grow(&scratch->neighbors, rows * si * d);
+    GatherRows(*user_table_, batch.item_neighbors.data() + begin * si,
+               rows * si, neighbors);
+    InteractiveAttentionPoolRows(rows, vi_raw, neighbors, si, scratch);
+    float* vi_summary = Grow(&scratch->vi, rows * d);
+    AggregateRows(*agg_item_, rows, vi_raw, scratch->pooled.data(), scratch,
+                  vi_summary);
+    vi = vi_summary;
+  }
+
+  // --- 2. collaborative guidance signal (Eqs. 10-13) ---
+  float* guidance = Grow(&scratch->guidance, rows * d);
+  if (!config_.use_collaborative_guidance) {
+    std::fill_n(guidance, rows * d, 1.0f);
+  } else {
+    switch (config_.guidance_mode) {
+      case GuidanceMode::kFull:
+        EncodeGuidanceRows(rows, vu, vi, guidance);
+        break;
+      case GuidanceMode::kNodeEmbeddingsOnly:
+        EncodeGuidanceRows(rows, vu_raw, vi_raw, guidance);
+        break;
+      case GuidanceMode::kPreferenceFilterOnly:
+        EncodeGuidanceRows(rows, vu, vi_raw, guidance);
+        break;
+      case GuidanceMode::kAttractionGroupOnly:
+        EncodeGuidanceRows(rows, vu_raw, vi, guidance);
+        break;
+    }
+  }
+
+  // --- 3. knowledge extraction with collaborative guidance (Eqs. 14-20) ---
+  const float* item_final = vi;
+  if (config_.depth >= 1) {
+    const int64_t k = config_.kg_sample_size;
+    std::vector<std::vector<float>>& hops = scratch->hops;
+    hops.resize(static_cast<size_t>(config_.depth) + 1);
+    std::copy_n(vi, rows * d, Grow(&hops[0], rows * d));
+    std::vector<int64_t> widths(static_cast<size_t>(config_.depth) + 1, 1);
+    for (size_t l = 1; l < widths.size(); ++l) {
+      widths[l] = widths[l - 1] * k;
+      GatherRows(*entity_table_, batch.flow.entities[l].data() + begin *
+                                     widths[l],
+                 rows * widths[l], Grow(&hops[l], rows * widths[l] * d));
+    }
+    for (int64_t l = config_.depth; l >= 1; --l) {
+      const size_t hop = static_cast<size_t>(l);
+      const int64_t parents_per_row = widths[hop - 1];
+      const int64_t parents = rows * parents_per_row;
+      const int64_t children = parents * k;
+      const float* parent_emb = hops[hop - 1].data();
+      const float* child_emb = hops[hop].data();
+      float* weights = Grow(&scratch->weights, children);
+      float* pooled = Grow(&scratch->pooled, parents * d);
+      if (config_.use_knowledge_attention) {
+        // Guided bilinear attention, omega = (v_parent . f)^T M_r v_child:
+        // v_p (.) f once per parent, its product with M_r once per distinct
+        // relation among the parent's children.
+        float* guided = Grow(&scratch->guided, parents * d);
+        for (int64_t p = 0; p < parents; ++p) {
+          tensor::Mul(d, parent_emb + p * d,
+                      guidance + p / parents_per_row * d, guided + p * d);
+        }
+        float* products = Grow(&scratch->products, k * d);
+        float* logits = Grow(&scratch->logits, children);
+        float* head_pooled = Grow(&scratch->head_pooled, parents * d);
+        const int64_t* relations =
+            batch.flow.relations[hop].data() + begin * widths[hop];
+        for (size_t h = 0; h < kg_heads_.size(); ++h) {
+          const tensor::Tensor& matrices = kg_heads_[h].value();
+          tensor::GroupedRelationRowDot(parents, k, d, matrices.dim(0),
+                                        guided, relations, matrices.data(),
+                                        child_emb, products, logits);
+          tensor::SegmentSoftmax(parents, k, logits, weights);
+          tensor::SegmentWeightedSum(parents, k, d, child_emb, weights,
+                                     h == 0 ? pooled : head_pooled);
+          if (h > 0) tensor::Axpy(parents * d, 1.0f, head_pooled, pooled);
+        }
+        tensor::ScaleInPlace(parents * d,
+                             1.0f / static_cast<float>(kg_heads_.size()),
+                             pooled);
+      } else {
+        // w/o ATT: every sampled neighbor contributes equally.
+        std::fill_n(weights, children, 1.0f / static_cast<float>(k));
+        tensor::SegmentWeightedSum(parents, k, d, child_emb, weights, pooled);
+      }
+      AggregateRows(*agg_kg_[hop - 1], parents, parent_emb, pooled, scratch,
+                    Grow(&scratch->next_hop, parents * d));
+      std::swap(hops[hop - 1], scratch->next_hop);
+    }
+    item_final = hops[0].data();
+  }
+
+  // --- 4. prediction (Eq. 21) ---
+  tensor::RowDot(rows, d, vu, item_final, out);
+}
+
 void CgKgrModel::ScoreChunk(std::span<const int64_t> users,
                             std::span<const int64_t> items, Rng* rng,
                             std::span<float> out) {
@@ -328,22 +547,26 @@ void CgKgrModel::ScoreChunk(std::span<const int64_t> users,
   for (BatchGraph& sample : samples) {
     sample = SampleBatch(chunk_users, chunk_items, rng);
   }
-  // 2. Forward fixed row slices of every pass on the score lanes. Each
-  //    forward kernel is per-row (docs/kernels.md), so a slice yields the
-  //    bits the whole chunk would. The lanes live for this chunk only: idle
+  // 2. Score fixed row slices of every pass on the score lanes. Each kernel
+  //    is per-row (docs/kernels.md), so a slice yields the bits the whole
+  //    chunk would. Each lane takes one run of consecutive slices and one
+  //    scratch for all of them. The lanes live for this chunk only: idle
   //    workers kept between calls would each pin a malloc arena holding
-  //    their last forwards' memory.
+  //    their last slices' memory.
   ThreadPool pool(score_lanes(), "score");
   const int64_t slices = (rows + kSliceRows - 1) / kSliceRows;
-  pool.ParallelForEach(0, passes * slices, 1, [&](int64_t task) {
-    autograd::NoGradGuard no_grad;  // grad mode is thread-local
-    const size_t pass = static_cast<size_t>(task / slices);
-    const int64_t slice_begin = task % slices * kSliceRows;
-    const int64_t slice_end = std::min(rows, slice_begin + kSliceRows);
-    const Variable scores =
-        Forward(SliceRows(samples[pass], slice_begin, slice_end), nullptr);
-    std::copy_n(scores.value().data(), slice_end - slice_begin,
-                pass_scores[pass].begin() + slice_begin);
+  const int64_t tasks = passes * slices;
+  const int64_t tasks_per_lane =
+      (tasks + pool.num_threads() - 1) / pool.num_threads();
+  pool.ParallelFor(0, tasks, tasks_per_lane, [&](int64_t first, int64_t last) {
+    ScoreScratch scratch;
+    for (int64_t task = first; task < last; ++task) {
+      const size_t pass = static_cast<size_t>(task / slices);
+      const int64_t slice_begin = task % slices * kSliceRows;
+      const int64_t slice_end = std::min(rows, slice_begin + kSliceRows);
+      ScoreRows(samples[pass], slice_begin, slice_end, &scratch,
+                pass_scores[pass].data() + slice_begin);
+    }
   });
   // 3. Average the passes in pass order.
   std::fill(out.begin(), out.end(), 0.0f);

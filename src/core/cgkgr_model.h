@@ -52,9 +52,9 @@ class CgKgrModel : public models::RecommenderModel {
   autograd::Variable BatchLoss(const models::TrainBatch& batch,
                                Rng* rng) override;
   /// Samples every inference pass of the chunk on the calling thread, then
-  /// runs the forwards as fixed 64-row slices on a pool of score_lanes()
-  /// lanes. Scores are bit-identical at any lane count; see
-  /// docs/parallel_training.md ("Parallel inference").
+  /// runs the scoring forward (ScoreRows) over fixed 64-row slices on a
+  /// pool of score_lanes() lanes. Scores are bit-identical to Forward's at
+  /// any lane count; see docs/parallel_training.md ("Parallel inference").
   void ScoreChunk(std::span<const int64_t> users,
                   std::span<const int64_t> items, Rng* rng,
                   std::span<float> out) override;
@@ -72,16 +72,39 @@ class CgKgrModel : public models::RecommenderModel {
   BatchGraph SampleBatch(const std::vector<int64_t>& users,
                          const std::vector<int64_t>& items, Rng* rng) const;
 
-  /// Rows [begin, end) of `batch`: row r owns entry r of users/items and
-  /// the contiguous block [r * w, (r + 1) * w) of every per-row array (w =
-  /// the sample size for the neighbor lists, K^l for node-flow hop l).
-  static BatchGraph SliceRows(const BatchGraph& batch, int64_t begin,
-                              int64_t end);
-
   /// Scores of the batch, shape (|users|). When `capture_hop1_attention` is
   /// non-null, the head-averaged hop-1 attention weights are written there.
+  /// The training forward, and the oracle of ScoreRows.
   autograd::Variable Forward(const BatchGraph& batch,
                              std::vector<float>* capture_hop1_attention);
+
+  /// Buffers of one scoring task, reused across the slices it scores.
+  struct ScoreScratch;
+
+  /// The scoring forward: Forward's scores of rows [begin, end) of `batch`,
+  /// bit for bit, into `out`. Row r owns entry r of users/items and the
+  /// block [r * w, (r + 1) * w) of every per-row array (w = the sample size
+  /// for the neighbor lists, K^l for node-flow hop l), read in place. It
+  /// records no tape and computes each repeated product once: a center's
+  /// head transform once per center, and a KG parent's guided relation
+  /// product once per distinct relation among its children.
+  void ScoreRows(const BatchGraph& batch, int64_t begin, int64_t end,
+                 ScoreScratch* scratch, float* out) const;
+
+  /// Eqs. 2-5 on raw rows: `n` centers each attend over their `segment`
+  /// consecutive `neighbors` rows; the head average goes to scratch->pooled.
+  void InteractiveAttentionPoolRows(int64_t n, const float* centers,
+                                    const float* neighbors, int64_t segment,
+                                    ScoreScratch* scratch) const;
+
+  /// Aggregate on raw rows: g(self, neighbors) of `n` rows into `out`.
+  void AggregateRows(const nn::Dense& dense, int64_t n, const float* self,
+                     const float* neighbors, ScoreScratch* scratch,
+                     float* out) const;
+
+  /// EncodeGuidance on raw rows: f(vu, vi) of `n` rows into `out`.
+  void EncodeGuidanceRows(int64_t n, const float* vu, const float* vi,
+                          float* out) const;
 
   /// Multi-head collaboration attention pooling (Eqs. 2-5): `centers`
   /// (n, d) each attend over their `segment` consecutive `neighbors` rows.

@@ -29,6 +29,8 @@ Status RecommenderModel::Prepare(const data::Dataset& dataset,
   prepared_ = false;
   CGKGR_RETURN_NOT_OK(Build(dataset, seed));
   prepared_ = true;
+  num_users_ = dataset.num_users;
+  num_items_ = dataset.num_items;
   eval_seed_ = seed ^ eval_salt_;
   score_lanes_ = 1;
   return Status::OK();
@@ -60,6 +62,18 @@ void RecommenderModel::ScorePairs(const std::vector<int64_t>& users,
                                   std::vector<float>* out) {
   CGKGR_CHECK_MSG(prepared_, "ScorePairs before Fit/Prepare");
   CGKGR_CHECK(users.size() == items.size() && out != nullptr);
+  // The one bounds check on the ids: samplers and dot-product scorers
+  // index with them unchecked.
+  for (size_t p = 0; p < users.size(); ++p) {
+    CGKGR_CHECK_MSG(users[p] >= 0 && users[p] < num_users_,
+                    "ScorePairs user id %lld out of range [0, %lld)",
+                    static_cast<long long>(users[p]),
+                    static_cast<long long>(num_users_));
+    CGKGR_CHECK_MSG(items[p] >= 0 && items[p] < num_items_,
+                    "ScorePairs item id %lld out of range [0, %lld)",
+                    static_cast<long long>(items[p]),
+                    static_cast<long long>(num_items_));
+  }
   autograd::NoGradGuard no_grad;
   Rng rng(eval_seed_);
   out->resize(users.size());

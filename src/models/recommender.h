@@ -164,7 +164,9 @@ class RecommenderModel : public eval::PairScorer {
   /// Scores the pairs in chunks of kScoreChunkPairs without gradients,
   /// drawing any inference sampling from a stream reseeded from the eval
   /// seed on every call, so identical calls on an identical model score
-  /// identically. Requires a prepared or fitted model.
+  /// identically. Requires a prepared or fitted model; every user and item
+  /// id must lie in the prepared dataset's range (CHECKed once per call,
+  /// before any ScoreChunk).
   void ScorePairs(const std::vector<int64_t>& users,
                   const std::vector<int64_t>& items,
                   std::vector<float>* out) final;
@@ -217,7 +219,8 @@ class RecommenderModel : public eval::PairScorer {
 
   /// Writes the scores of at most kScoreChunkPairs aligned pairs to `out`.
   /// Runs under NoGradGuard on the calling thread; `rng` is the call's
-  /// inference stream, shared by its chunks in order.
+  /// inference stream, shared by its chunks in order. Every id is already
+  /// in range.
   virtual void ScoreChunk(std::span<const int64_t> users,
                           std::span<const int64_t> items, Rng* rng,
                           std::span<float> out) = 0;
@@ -244,6 +247,9 @@ class RecommenderModel : public eval::PairScorer {
   nn::AdamOptions adam_;
   const uint64_t eval_salt_;
   bool prepared_ = false;
+  /// The prepared dataset's id ranges, which ScorePairs enforces.
+  int64_t num_users_ = 0;
+  int64_t num_items_ = 0;
   uint64_t eval_seed_ = 0;
   int64_t score_lanes_ = 1;
 };

@@ -1,8 +1,14 @@
-#include "common/macros.h"
 #include "nn/dense.h"
+
+#include "common/macros.h"
+#include "tensor/tensor_ops.h"
 
 namespace cgkgr {
 namespace nn {
+
+namespace {
+constexpr float kLeakySlope = 0.2f;
+}  // namespace
 
 Dense::Dense(ParameterStore* store, const std::string& name, int64_t in_dim,
              int64_t out_dim, Activation activation, Rng* rng)
@@ -30,10 +36,36 @@ autograd::Variable Dense::Apply(const autograd::Variable& x) const {
     case Activation::kSigmoid:
       return autograd::SigmoidV(out);
     case Activation::kLeakyRelu:
-      return autograd::LeakyRelu(out, 0.2f);
+      return autograd::LeakyRelu(out, kLeakySlope);
   }
   CGKGR_CHECK_MSG(false, "unreachable activation");
   return out;
+}
+
+void Dense::ApplyRows(int64_t n, const float* x, float* out) const {
+  tensor::Gemm(false, false, n, out_dim_, in_dim_, 1.0f, x,
+               weight_.value().data(), 0.0f, out);
+  tensor::AddRowVector(n, out_dim_, bias_.value().data(), out);
+  const int64_t size = n * out_dim_;
+  switch (activation_) {
+    case Activation::kIdentity:
+      return;
+    case Activation::kRelu:
+      for (int64_t i = 0; i < size; ++i) out[i] = tensor::Relu(out[i]);
+      return;
+    case Activation::kTanh:
+      for (int64_t i = 0; i < size; ++i) out[i] = tensor::Tanh(out[i]);
+      return;
+    case Activation::kSigmoid:
+      for (int64_t i = 0; i < size; ++i) out[i] = tensor::Sigmoid(out[i]);
+      return;
+    case Activation::kLeakyRelu:
+      for (int64_t i = 0; i < size; ++i) {
+        out[i] = tensor::LeakyRelu(out[i], kLeakySlope);
+      }
+      return;
+  }
+  CGKGR_CHECK_MSG(false, "unreachable activation");
 }
 
 }  // namespace nn

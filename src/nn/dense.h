@@ -24,6 +24,10 @@ class Dense {
   /// Applies the layer to `x` of shape (n, in_dim) -> (n, out_dim).
   autograd::Variable Apply(const autograd::Variable& x) const;
 
+  /// Apply on raw row-major buffers, with Apply's bits and no tape: `x` is
+  /// (n, in_dim) and `out`, which must not alias it, is (n, out_dim).
+  void ApplyRows(int64_t n, const float* x, float* out) const;
+
   int64_t in_dim() const { return in_dim_; }
   int64_t out_dim() const { return out_dim_; }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/macros.h"
 #include "tensor/vec.h"
 
 namespace cgkgr {
@@ -36,6 +37,36 @@ void GemmRowMajorB(int64_t m, int64_t n, int64_t k, float alpha,
       const float* __restrict b_row = b + kk * n;
       for (int64_t j = 0; j < n; ++j) c_row[j] += a_ik * b_row[j];
     }
+  }
+}
+
+// B row-major with n == 16, the embedding width of every preset: the C row
+// lives in four vector registers for the whole kk sweep instead of being
+// reloaded and stored once per kk. Lanes are seeded from c_row and add
+// a_ik * b_kj kk-ascending, so every element keeps GemmRowMajorB's bits.
+template <bool kTransA>
+void GemmRowMajorB16(int64_t m, int64_t k, float alpha,
+                     const float* __restrict a, const float* __restrict b,
+                     float* __restrict c) {
+  for (int64_t i = 0; i < m; ++i) {
+    float* __restrict c_row = c + i * 16;
+    V4f acc0 = LoadV4f(c_row);
+    V4f acc1 = LoadV4f(c_row + 4);
+    V4f acc2 = LoadV4f(c_row + 8);
+    V4f acc3 = LoadV4f(c_row + 12);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const V4f a_ik =
+          BroadcastV4f(alpha * (kTransA ? a[kk * m + i] : a[i * k + kk]));
+      const float* __restrict b_row = b + kk * 16;
+      acc0 += a_ik * LoadV4f(b_row);
+      acc1 += a_ik * LoadV4f(b_row + 4);
+      acc2 += a_ik * LoadV4f(b_row + 8);
+      acc3 += a_ik * LoadV4f(b_row + 12);
+    }
+    StoreV4f(c_row, acc0);
+    StoreV4f(c_row + 4, acc1);
+    StoreV4f(c_row + 8, acc2);
+    StoreV4f(c_row + 12, acc3);
   }
 }
 
@@ -93,7 +124,13 @@ void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   } else if (beta != 1.0f) {
     ScaleInPlace(m * n, beta, c);
   }
-  if (!trans_b) {
+  if (!trans_b && n == 16) {
+    if (!trans_a) {
+      GemmRowMajorB16<false>(m, k, alpha, a, b, c);
+    } else {
+      GemmRowMajorB16<true>(m, k, alpha, a, b, c);
+    }
+  } else if (!trans_b) {
     if (!trans_a) {
       GemmRowMajorB<false>(m, n, k, alpha, a, b, c);
     } else {
@@ -104,6 +141,69 @@ void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       GemmColMajorB<false>(m, n, k, alpha, a, b, c);
     } else {
       GemmColMajorB<true>(m, n, k, alpha, a, b, c);
+    }
+  }
+}
+
+namespace {
+
+// out = x * M for one length-d row and one (d, d) matrix: a 1 x d x d Gemm
+// with a zero seed, run on Gemm's row kernels without its dispatch. The one
+// row kernel behind both relation kernels; d == 16 keeps the row in
+// registers.
+inline void RelationRow(int64_t d, const float* __restrict x,
+                        const float* __restrict m, float* __restrict out) {
+  for (int64_t j = 0; j < d; ++j) out[j] = 0.0f;
+  if (d == 16) {
+    GemmRowMajorB16<false>(1, 16, 1.0f, x, m, out);
+  } else {
+    GemmRowMajorB<false>(1, d, d, 1.0f, x, m, out);
+  }
+}
+
+inline void CheckRelation(int64_t rel, int64_t num_relations) {
+  CGKGR_CHECK_MSG(rel >= 0 && rel < num_relations,
+                  "relation id %lld out of range [0, %lld)",
+                  static_cast<long long>(rel),
+                  static_cast<long long>(num_relations));
+}
+
+}  // namespace
+
+void RelationMatMul(int64_t n, int64_t d, int64_t num_relations,
+                    const float* __restrict x, const int64_t* __restrict rel,
+                    const float* __restrict matrices, float* __restrict out) {
+  for (int64_t r = 0; r < n; ++r) {
+    CheckRelation(rel[r], num_relations);
+    RelationRow(d, x + r * d, matrices + rel[r] * d * d, out + r * d);
+  }
+}
+
+void GroupedRelationRowDot(int64_t groups, int64_t group, int64_t d,
+                           int64_t num_relations, const float* __restrict x,
+                           const int64_t* __restrict rel,
+                           const float* __restrict matrices,
+                           const float* __restrict y,
+                           float* __restrict scratch, float* __restrict out) {
+  for (int64_t g = 0; g < groups; ++g) {
+    const float* __restrict x_g = x + g * d;
+    const int64_t* __restrict rel_g = rel + g * group;
+    for (int64_t i = 0; i < group; ++i) {
+      CheckRelation(rel_g[i], num_relations);
+      // Row i reuses the product of the first sibling with its relation.
+      int64_t first = i;
+      for (int64_t j = 0; j < i; ++j) {
+        if (rel_g[j] == rel_g[i]) {
+          first = j;
+          break;
+        }
+      }
+      float* __restrict product = scratch + first * d;
+      if (first == i) {
+        RelationRow(d, x_g, matrices + rel_g[i] * d * d, product);
+      }
+      const int64_t c = g * group + i;
+      out[c] = Dot(d, product, y + c * d);
     }
   }
 }
@@ -156,6 +256,20 @@ void RowScale(int64_t rows, int64_t cols, const float* __restrict x,
     const float* __restrict in_row = x + r * cols;
     float* __restrict out_row = out + r * cols;
     for (int64_t c = 0; c < cols; ++c) out_row[c] = factor * in_row[c];
+  }
+}
+
+void SegmentWeightedSum(int64_t segments, int64_t segment, int64_t d,
+                        const float* __restrict values,
+                        const float* __restrict weights,
+                        float* __restrict out) {
+  for (int64_t s = 0; s < segments; ++s) {
+    float* __restrict o = out + s * d;
+    for (int64_t j = 0; j < d; ++j) o[j] = 0.0f;
+    for (int64_t i = 0; i < segment; ++i) {
+      const int64_t row = s * segment + i;
+      Axpy(d, weights[row], values + row * d, o);
+    }
   }
 }
 

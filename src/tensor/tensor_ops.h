@@ -1,6 +1,7 @@
 #ifndef CGKGR_TENSOR_TENSOR_OPS_H_
 #define CGKGR_TENSOR_TENSOR_OPS_H_
 
+#include <cmath>
 #include <cstdint>
 
 #include "tensor/tensor.h"
@@ -23,8 +24,34 @@ namespace tensor {
 /// accumulates with a fixed kk-ascending association, so results are
 /// bit-identical for any blocking and any thread count. IEEE special values
 /// propagate: 0 * inf and 0 * nan contribute NaN rather than being skipped.
+/// With trans_b unset and n == 16, each C row stays in registers for the
+/// whole kk sweep (same association).
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c);
+
+/// Relation-specific row products: out row r = x row r * M[rel[r]], where
+/// x is (n, d) and `matrices` stacks `num_relations` (d, d) matrices. Each
+/// element has Gemm's association (zero seed, kk ascending), so a row has
+/// the bits of a 1 x d x d Gemm; d == 16 keeps the row in registers. Every
+/// relation id is CHECKed against [0, num_relations).
+void RelationMatMul(int64_t n, int64_t d, int64_t num_relations,
+                    const float* __restrict x, const int64_t* __restrict rel,
+                    const float* __restrict matrices, float* __restrict out);
+
+/// RelationMatMul followed by RowDot, for rows that share x in groups: row g
+/// of x (groups, d) belongs to the `group` consecutive rows
+/// [g * group, (g + 1) * group) of `rel` and of y (groups * group, d), and
+/// out[c] = Dot(d, x_g * M[rel[c]], y_c). That is the bits of RelationMatMul
+/// on x with each row repeated `group` times, then RowDot with y. Within a
+/// group each distinct relation is multiplied once; finding an earlier
+/// sibling with the same relation costs at most group - 1 id compares per
+/// row. `scratch` holds group * d floats.
+void GroupedRelationRowDot(int64_t groups, int64_t group, int64_t d,
+                           int64_t num_relations, const float* __restrict x,
+                           const int64_t* __restrict rel,
+                           const float* __restrict matrices,
+                           const float* __restrict y,
+                           float* __restrict scratch, float* __restrict out);
 
 /// y += alpha * x over n elements.
 void Axpy(int64_t n, float alpha, const float* __restrict x,
@@ -58,6 +85,14 @@ void RowDot(int64_t rows, int64_t cols, const float* __restrict a,
 void RowScale(int64_t rows, int64_t cols, const float* __restrict x,
               const float* __restrict s, float* __restrict out);
 
+/// Attention pooling: out row s (segments, d) = sum over i < segment of
+/// weights[s * segment + i] * values row (s * segment + i), accumulated from
+/// zero in i order.
+void SegmentWeightedSum(int64_t segments, int64_t segment, int64_t d,
+                        const float* __restrict values,
+                        const float* __restrict weights,
+                        float* __restrict out);
+
 /// Numerically stable softmax over each consecutive segment of length
 /// `segment` in `x` (total length = segments * segment). Zero segments or
 /// zero width is a no-op. Widths 4/8/16 take a fused vector path with a
@@ -77,6 +112,13 @@ float SquaredNorm(int64_t n, const float* x);
 
 /// Scalar sigmoid.
 float Sigmoid(float x);
+
+/// Scalar activations shared by the autograd ops and nn::Dense's raw rows.
+inline float Relu(float x) { return x > 0.0f ? x : 0.0f; }
+inline float LeakyRelu(float x, float negative_slope) {
+  return x > 0.0f ? x : negative_slope * x;
+}
+inline float Tanh(float x) { return std::tanh(x); }
 
 }  // namespace tensor
 }  // namespace cgkgr

@@ -1,12 +1,14 @@
 // Tests for the CG-KGR core model: config parsing, every encoder /
 // aggregator / guidance-mode / depth variant trains and scores, learning
 // actually happens, attention inspection is normalized, training is
-// deterministic per seed, and scores do not depend on the lane count.
+// deterministic per seed, scores do not depend on the lane count, and the
+// tape-free scoring forward reproduces Forward's pinned snapshots.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -353,6 +355,123 @@ TEST(ScoreLanesTest, SnapshotReproducesSerialScoring) {
     ASSERT_TRUE(model.Fit(d, options).ok());
     EXPECT_EQ(serve::SnapshotFingerprint(serve::BuildSnapshot(&model, d)),
               kSerialFingerprint)
+        << lanes << " lanes";
+  }
+}
+
+// --- the scoring forward against Forward's goldens ---
+
+/// SnapshotFingerprint of a 1-epoch fit at `lanes` lanes: every score of
+/// the 50 x 70 test matrix.
+uint64_t SnapshotGolden(const CgKgrConfig& config, const data::Dataset& d,
+                        int64_t lanes) {
+  models::TrainOptions options = QuickTrain(1);
+  options.num_threads = lanes;
+  CgKgrModel model(config);
+  EXPECT_TRUE(model.Fit(d, options).ok());
+  return serve::SnapshotFingerprint(serve::BuildSnapshot(&model, d));
+}
+
+TEST(ScoreGoldenTest, VariantsMatchForwardGoldens) {
+  // Pinned when ScoreChunk ran the autograd Forward on every slice. The
+  // small shape (d = 8, sample sizes 4/3/3) keeps every kernel on its
+  // generic width.
+  struct Golden {
+    std::string name;
+    std::function<void(CgKgrConfig*)> edit;
+    uint64_t fingerprint;
+  };
+  std::vector<Golden> goldens;
+  const std::vector<std::pair<std::string, uint64_t>> pairs = {
+      {"sum/sum", 2480763476327237364ULL},
+      {"sum/concat", 18293788866670184794ULL},
+      {"sum/neighbor", 7519136332486994507ULL},
+      {"mean/sum", 17837100808708798505ULL},
+      {"mean/concat", 18225974104608906060ULL},
+      {"mean/neighbor", 481837076506943586ULL},
+      {"pmax/sum", 3316091495723650256ULL},
+      {"pmax/concat", 534285816829518923ULL},
+      {"pmax/neighbor", 9244328253934272925ULL}};
+  for (const auto& [name, fingerprint] : pairs) {
+    const std::string encoder = name.substr(0, name.find('/'));
+    const std::string aggregator = name.substr(name.find('/') + 1);
+    goldens.push_back({name,
+                       [encoder, aggregator](CgKgrConfig* c) {
+                         c->encoder = ParseEncoder(encoder).value();
+                         c->aggregator = ParseAggregator(aggregator).value();
+                       },
+                       fingerprint});
+  }
+  goldens.push_back(
+      {"NE",
+       [](CgKgrConfig* c) {
+         c->guidance_mode = GuidanceMode::kNodeEmbeddingsOnly;
+       },
+       11019187894844391740ULL});
+  goldens.push_back(
+      {"PF",
+       [](CgKgrConfig* c) {
+         c->guidance_mode = GuidanceMode::kPreferenceFilterOnly;
+       },
+       1323806137946190747ULL});
+  goldens.push_back(
+      {"AG",
+       [](CgKgrConfig* c) {
+         c->guidance_mode = GuidanceMode::kAttractionGroupOnly;
+       },
+       14192395113529485800ULL});
+  goldens.push_back(
+      {"w/o UI",
+       [](CgKgrConfig* c) { c->use_interactive_summarization = false; },
+       6199723285820470866ULL});
+  goldens.push_back(
+      {"w/o ATT", [](CgKgrConfig* c) { c->use_knowledge_attention = false; },
+       12129815170267029440ULL});
+  goldens.push_back(
+      {"w/o CG", [](CgKgrConfig* c) { c->use_collaborative_guidance = false; },
+       11404212835645182174ULL});
+  goldens.push_back({"depth 0", [](CgKgrConfig* c) { c->depth = 0; },
+                     1591913219431282285ULL});
+  goldens.push_back({"depth 2", [](CgKgrConfig* c) { c->depth = 2; },
+                     16810810165492975861ULL});
+  goldens.push_back({"depth 3", [](CgKgrConfig* c) { c->depth = 3; },
+                     7354108447907207230ULL});
+  goldens.push_back({"passes 1",
+                     [](CgKgrConfig* c) { c->inference_samples = 1; },
+                     15002876880128787158ULL});
+  goldens.push_back({"passes 3",
+                     [](CgKgrConfig* c) { c->inference_samples = 3; },
+                     708625991482924705ULL});
+  goldens.push_back({"degree-biased",
+                     [](CgKgrConfig* c) {
+                       c->sampling_strategy =
+                           graph::SamplingStrategy::kDegreeBiased;
+                     },
+                     6085197393421714655ULL});
+
+  const data::Dataset d = TestDataset();
+  for (const Golden& golden : goldens) {
+    CgKgrConfig config = SmallModelConfig();
+    golden.edit(&config);
+    EXPECT_EQ(SnapshotGolden(config, d, 1), golden.fingerprint)
+        << golden.name;
+  }
+}
+
+TEST(ScoreGoldenTest, MovieShapeMatchesForwardGolden) {
+  // The movie preset's shape (d = 16, |S(u)| = 8, |S_UI(i)| = 4,
+  // |S_KG| = 4, depth 2, 4 heads) runs the width-16 and width-4 fast paths.
+  constexpr uint64_t kMovieShapeFingerprint = 16848831242697579897ULL;
+  CgKgrConfig config = SmallModelConfig();
+  config.embedding_dim = 16;
+  config.user_sample_size = 8;
+  config.item_sample_size = 4;
+  config.kg_sample_size = 4;
+  config.depth = 2;
+  config.num_heads = 4;
+  const data::Dataset d = TestDataset();
+  for (const int64_t lanes : {1, 2, 4}) {
+    EXPECT_EQ(SnapshotGolden(config, d, lanes), kMovieShapeFingerprint)
         << lanes << " lanes";
   }
 }

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
+#include "baselines/bprmf.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/cgkgr_model.h"
 #include "data/presets.h"
+#include "data/synthetic.h"
 #include "graph/interaction_graph.h"
 #include "nn/parameter.h"
 #include "tensor/tensor.h"
@@ -81,6 +83,34 @@ TEST(DeathTest, ScoreBeforeFit) {
   core::CgKgrModel model(config);
   std::vector<float> out;
   EXPECT_DEATH(model.ScorePairs({0}, {0}, &out), "before Fit");
+}
+
+data::Dataset TinyDataset() {
+  data::SyntheticConfig config;
+  config.num_users = 20;
+  config.num_items = 30;
+  config.num_noise_entities = 20;
+  config.entities_per_relation_pool = 10;
+  return data::GenerateSyntheticDataset(config, 3);
+}
+
+// ScorePairs bounds every id before a model indexes a table or a graph
+// with it.
+TEST(DeathTest, ScorePairsRejectsOutOfRangeIds) {
+  const data::Dataset d = TinyDataset();
+  baselines::BprMf bprmf(data::PresetHyperParams{});
+  core::CgKgrModel cgkgr(core::CgKgrConfig{});
+  for (models::RecommenderModel* model :
+       std::vector<models::RecommenderModel*>{&bprmf, &cgkgr}) {
+    ASSERT_TRUE(model->Prepare(d, 1).ok());
+    std::vector<float> out;
+    EXPECT_DEATH(model->ScorePairs({0, d.num_users}, {0, 0}, &out),
+                 "user id 20 out of range \\[0, 20\\)")
+        << model->name();
+    EXPECT_DEATH(model->ScorePairs({0, 0}, {1, -1}, &out),
+                 "item id -1 out of range \\[0, 30\\)")
+        << model->name();
+  }
 }
 
 TEST(DeathTest, UnknownPresetName) {

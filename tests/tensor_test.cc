@@ -397,6 +397,148 @@ TEST(KernelTest, GemmBitIdenticalToReferenceAtBoundarySizes) {
   }
 }
 
+/// Bitwise equality: tells -0 from +0 and compares NaN payloads.
+bool SameFloat(float actual, float expected) {
+  return std::memcmp(&actual, &expected, sizeof(float)) == 0;
+}
+
+TEST(KernelTest, GemmN16BitIdenticalToReferenceWithSpecialValues) {
+  // n == 16 keeps each C row in registers; every element must still be the
+  // scalar loop's beta-scaled seed plus kk-ascending products.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const int64_t n = 16;
+  for (const int64_t m : {1, 3, 16}) {
+    for (const int64_t k : {1, 7, 16, 33}) {
+      for (const bool trans_a : {false, true}) {
+        for (const float beta : {0.0f, 1.0f, 0.5f}) {
+          const uint64_t seed = static_cast<uint64_t>(m * 1000 + k);
+          Tensor a = RandomFilled(m * k, seed);
+          Tensor b = RandomFilled(k * n, seed + 1);
+          Tensor c = RandomFilled(m * n, seed + 2);
+          // A zero of A meets an inf of B (0 * inf is NaN), a NaN and a
+          // -0 ride along, and C seeds with specials of its own.
+          a[0] = 0.0f;
+          b[3] = inf;
+          b[(k - 1) * n + 5] = nan;
+          a[m * k - 1] = -0.0f;
+          c[m * n - 1] = -inf;
+          c[2] = -0.0f;
+          Tensor expected = c.Clone();
+          ReferenceGemm(trans_a, false, m, n, k, -1.25f, a.data(), b.data(),
+                        beta, expected.data());
+          Gemm(trans_a, false, m, n, k, -1.25f, a.data(), b.data(), beta,
+               c.data());
+          for (int64_t i = 0; i < m * n; ++i) {
+            ASSERT_TRUE(SameFloat(c[i], expected[i]))
+                << "m=" << m << " k=" << k << " ta=" << trans_a
+                << " beta=" << beta << " i=" << i << ": " << c[i] << " vs "
+                << expected[i];
+          }
+          EXPECT_TRUE(std::isnan(c[3])) << "0 * inf must contribute NaN";
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTest, RelationMatMulRowsAreOneByDGemms) {
+  // Each row has the bits of the 1 x d x d Gemm that autograd's
+  // RelationMatMul used to issue per row.
+  for (const int64_t d : {1, 3, 8, 16, 17, 33}) {
+    const int64_t rows = 5;
+    const int64_t num_relations = 3;
+    Tensor x = RandomFilled(rows * d, 40 + static_cast<uint64_t>(d));
+    Tensor matrices =
+        RandomFilled(num_relations * d * d, 50 + static_cast<uint64_t>(d));
+    const std::vector<int64_t> rel = {2, 0, 2, 1, 0};
+    Tensor out({rows * d});
+    RelationMatMul(rows, d, num_relations, x.data(), rel.data(),
+                   matrices.data(), out.data());
+    for (int64_t r = 0; r < rows; ++r) {
+      std::vector<float> expected(static_cast<size_t>(d));
+      ReferenceGemm(false, false, 1, d, d, 1.0f, x.data() + r * d,
+                    matrices.data() + rel[static_cast<size_t>(r)] * d * d,
+                    0.0f, expected.data());
+      for (int64_t j = 0; j < d; ++j) {
+        ASSERT_TRUE(SameFloat(out[r * d + j], expected[static_cast<size_t>(j)]))
+            << "d=" << d << " r=" << r << " j=" << j;
+      }
+    }
+  }
+}
+
+TEST(KernelTest, GroupedRelationRowDotMatchesRepeatedRowsThenRowDot) {
+  // The scoring form multiplies each distinct relation of a group once;
+  // the reference repeats every group's x row and multiplies every row.
+  const int64_t groups = 3;
+  const int64_t num_relations = 6;
+  enum class Pattern { kAllEqual, kAllDistinct, kMixed };
+  for (const int64_t d : {1, 3, 8, 16, 17, 33}) {
+    for (int64_t group = 1; group <= 5; ++group) {
+      for (const Pattern pattern :
+           {Pattern::kAllEqual, Pattern::kAllDistinct, Pattern::kMixed}) {
+        const int64_t rows = groups * group;
+        std::vector<int64_t> rel(static_cast<size_t>(rows));
+        for (int64_t g = 0; g < groups; ++g) {
+          for (int64_t i = 0; i < group; ++i) {
+            int64_t r = g;
+            if (pattern == Pattern::kAllDistinct) r = (g + i) % num_relations;
+            if (pattern == Pattern::kMixed) r = i % 2 == 0 ? g : g + 1 + i / 2;
+            rel[static_cast<size_t>(g * group + i)] = r % num_relations;
+          }
+        }
+        const uint64_t seed = static_cast<uint64_t>(d * 100 + group);
+        Tensor x = RandomFilled(groups * d, seed);
+        Tensor y = RandomFilled(rows * d, seed + 1);
+        Tensor matrices = RandomFilled(num_relations * d * d, seed + 2);
+        Tensor repeated({rows * d});
+        for (int64_t c = 0; c < rows; ++c) {
+          std::copy_n(x.data() + c / group * d, d, repeated.data() + c * d);
+        }
+        Tensor transformed({rows * d});
+        RelationMatMul(rows, d, num_relations, repeated.data(), rel.data(),
+                       matrices.data(), transformed.data());
+        Tensor expected({rows});
+        RowDot(rows, d, transformed.data(), y.data(), expected.data());
+
+        Tensor scratch({group * d});
+        Tensor out({rows});
+        GroupedRelationRowDot(groups, group, d, num_relations, x.data(),
+                              rel.data(), matrices.data(), y.data(),
+                              scratch.data(), out.data());
+        for (int64_t c = 0; c < rows; ++c) {
+          ASSERT_TRUE(SameFloat(out[c], expected[c]))
+              << "d=" << d << " group=" << group
+              << " pattern=" << static_cast<int>(pattern) << " row=" << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTest, SegmentWeightedSumAccumulatesFromZeroInOrder) {
+  const int64_t segments = 3;
+  const int64_t segment = 4;
+  for (const int64_t d : {1, 16, 17}) {
+    Tensor values = RandomFilled(segments * segment * d, 60);
+    Tensor weights = RandomFilled(segments * segment, 61);
+    Tensor out = RandomFilled(segments * d, 62);  // overwritten, not added
+    SegmentWeightedSum(segments, segment, d, values.data(), weights.data(),
+                       out.data());
+    for (int64_t s = 0; s < segments; ++s) {
+      for (int64_t j = 0; j < d; ++j) {
+        float expected = 0.0f;
+        for (int64_t i = 0; i < segment; ++i) {
+          const int64_t row = s * segment + i;
+          expected += weights[row] * values[row * d + j];
+        }
+        ASSERT_EQ(out[s * d + j], expected) << "d=" << d << " s=" << s;
+      }
+    }
+  }
+}
+
 TEST(KernelTest, ElementwiseBitIdenticalAtBoundarySizes) {
   for (const int64_t n : kBoundarySizes) {
     Tensor a = RandomFilled(n, 400 + static_cast<uint64_t>(n));

@@ -21,8 +21,10 @@
 #                            (tensor_test, autograd_test, ckpt_test), the
 #                            model zoo (baselines_test), whose parameters
 #                            live in the shared models::RecommenderModel
-#                            base, and serve_test, whose snapshot digest
-#                            and delta apply index score rows by offset.
+#                            base, cgkgr_model_test, whose tape-free scoring
+#                            forward indexes its scratch buffers by offset,
+#                            and serve_test, whose snapshot digest and
+#                            delta apply index score rows by offset.
 #        CGKGR_CHECK_UBSAN=1 UndefinedBehaviorSanitizer over the numeric
 #                            core (tensor_test, autograd_test,
 #                            cgkgr_model_test), the model zoo
@@ -115,7 +117,8 @@ fi
 
 if [ "${CGKGR_CHECK_ASAN:-0}" = "1" ]; then
   run_sanitizer AddressSanitizer address build-asan \
-    tensor_test autograd_test ckpt_test baselines_test serve_test
+    tensor_test autograd_test ckpt_test baselines_test cgkgr_model_test \
+    serve_test
 else
   echo "== AddressSanitizer: SKIPPED (set CGKGR_CHECK_ASAN=1 to enable) =="
 fi
