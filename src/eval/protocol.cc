@@ -79,10 +79,8 @@ TopKResult EvaluateTopK(PairScorer* scorer, const data::Dataset& dataset,
     }
     std::sort(candidates.begin(), candidates.end(),
               [&](int64_t a, int64_t b) {
-                const float score_a = all_scores[static_cast<size_t>(a)];
-                const float score_b = all_scores[static_cast<size_t>(b)];
-                if (score_a != score_b) return score_a > score_b;
-                return a < b;
+                return RanksBefore(all_scores[static_cast<size_t>(a)], a,
+                                   all_scores[static_cast<size_t>(b)], b);
               });
     const auto& relevant = positives[static_cast<size_t>(user)];
     for (int64_t k : options.ks) {

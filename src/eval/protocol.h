@@ -1,6 +1,8 @@
 #ifndef CGKGR_EVAL_PROTOCOL_H_
 #define CGKGR_EVAL_PROTOCOL_H_
 
+#include <cmath>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -46,6 +48,20 @@ class RowScorer {
   std::vector<float> scores_;
 };
 
+/// The ranking order of EvaluateTopK and serve::Engine: score descending,
+/// NaN after every number, ties (and NaN against NaN) by item id
+/// ascending; +0 and -0 tie. Over entries with distinct items it is a
+/// strict total order, so every sort or selection under it gives the same
+/// list, also for rows a diverged model filled with NaN.
+inline bool RanksBefore(float score_a, int64_t item_a, float score_b,
+                        int64_t item_b) {
+  if (score_a > score_b) return true;
+  if (score_a < score_b) return false;
+  const bool nan_a = std::isnan(score_a);
+  if (nan_a != std::isnan(score_b)) return !nan_a;
+  return item_a < item_b;
+}
+
 /// Options for full-ranking Top-K evaluation (paper Sec. IV-C).
 struct TopKOptions {
   /// Cutoffs to report; the paper sweeps {1, 5, 10, 20, 50, 100}.
@@ -72,7 +88,7 @@ struct TopKResult {
 /// Full-ranking Top-K evaluation: for every user with at least one positive
 /// in `target_split`, ranks all items not interacted with in the earlier
 /// splits (`mask` = train [+ eval when testing]) and averages Recall/NDCG.
-/// Ranking is serve::Engine's order: score descending, then item ascending.
+/// Ranking is RanksBefore, serve::Engine's order.
 TopKResult EvaluateTopK(PairScorer* scorer, const data::Dataset& dataset,
                         const std::vector<graph::Interaction>& target_split,
                         const std::vector<std::vector<int64_t>>& mask,

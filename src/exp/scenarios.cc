@@ -777,8 +777,8 @@ KernelRun KernelAdamStep(int64_t iters, uint64_t seed) {
 }
 
 KernelRun KernelServeTopK(int64_t iters, uint64_t seed) {
-  // Uncached single-user blocked top-k over a mid-size catalog; exercises
-  // BlockTopK candidate collection plus the heap merge.
+  // Uncached single-user top-k over a mid-size catalog; exercises the
+  // engine's one-pass bounded selection and the final sort.
   const int64_t num_items = 65536;
   serve::Snapshot snapshot;
   snapshot.num_users = 1;

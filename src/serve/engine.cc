@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <map>
-#include <queue>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -14,6 +14,7 @@
 #include "common/mutex.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "eval/protocol.h"
 #include "obs/metrics.h"
 #include "obs/process_stats.h"
 #include "obs/trace.h"
@@ -34,79 +35,9 @@ obs::Labels NextEngineLabels() {
                                   1, std::memory_order_relaxed)))}};
 }
 
-/// Ranking order: score descending, item id ascending on ties. The id
-/// tiebreak makes results independent of block boundaries and thread
-/// schedule.
+/// eval::RanksBefore on ScoredItem.
 inline bool Ranks(const ScoredItem& a, const ScoredItem& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.item < b.item;
-}
-
-/// Appends candidates for items [run_begin, run_end) — a run known to
-/// contain no seen items, so the inner loop is branch-free.
-inline void AppendRun(const float* row, int64_t run_begin, int64_t run_end,
-                      std::vector<ScoredItem>* block) {
-  for (int64_t item = run_begin; item < run_end; ++item) {
-    block->push_back({item, row[item]});
-  }
-}
-
-/// Collects the top-k of one item block [begin, end) into `out` (appended).
-void BlockTopK(const Snapshot& snapshot, int64_t user, int64_t begin,
-               int64_t end, int64_t k, bool filter_seen,
-               std::vector<ScoredItem>* out) {
-  const float* row = snapshot.UserScores(user);
-  std::vector<ScoredItem> block;
-  block.reserve(static_cast<size_t>(end - begin));
-  if (filter_seen) {
-    // Seen ids are sorted: split the block into runs between consecutive
-    // seen ids (instead of testing every item against the cursor) so the
-    // per-run copy loop carries no filter branch.
-    const auto& seen = snapshot.seen[static_cast<size_t>(user)];
-    auto seen_it = std::lower_bound(seen.begin(), seen.end(), begin);
-    int64_t run_begin = begin;
-    while (run_begin < end) {
-      const int64_t run_end =
-          (seen_it != seen.end() && *seen_it < end) ? *seen_it : end;
-      AppendRun(row, run_begin, run_end, &block);
-      if (run_end == end) break;
-      run_begin = run_end + 1;
-      ++seen_it;
-    }
-  } else {
-    AppendRun(row, begin, end, &block);
-  }
-  // Clamp before partial_sort: the last block of the catalog (or a catalog
-  // smaller than k, or a block thinned below k by the seen filter) yields
-  // fewer than k candidates, and partial_sort with middle > end() is UB.
-  const size_t keep = std::min<size_t>(block.size(), static_cast<size_t>(k));
-  std::partial_sort(block.begin(), block.begin() + keep, block.end(), Ranks);
-  out->insert(out->end(), block.begin(), block.begin() + keep);
-}
-
-/// Merges per-block winner lists into the final top-k via a bounded
-/// min-heap (the worst resident is on top and gets displaced first).
-std::vector<ScoredItem> HeapMergeTopK(std::vector<ScoredItem> winners,
-                                      int64_t k) {
-  const auto worse = [](const ScoredItem& a, const ScoredItem& b) {
-    return Ranks(a, b);  // min-heap on ranking order: top() = current worst
-  };
-  std::priority_queue<ScoredItem, std::vector<ScoredItem>, decltype(worse)>
-      heap(worse);
-  for (const ScoredItem& candidate : winners) {
-    if (static_cast<int64_t>(heap.size()) < k) {
-      heap.push(candidate);
-    } else if (Ranks(candidate, heap.top())) {
-      heap.pop();
-      heap.push(candidate);
-    }
-  }
-  std::vector<ScoredItem> result(heap.size());
-  for (size_t i = result.size(); i-- > 0;) {
-    result[i] = heap.top();
-    heap.pop();
-  }
-  return result;
+  return eval::RanksBefore(a.score, a.item, b.score, b.item);
 }
 
 bool EndsWith(const std::string& name, const std::string& suffix) {
@@ -126,9 +57,6 @@ Result<std::unique_ptr<Engine>> Engine::Create(
   if (options.num_threads < 1) {
     return Status::InvalidArgument("Engine::Create: num_threads must be >= 1");
   }
-  if (options.block_size < 1) {
-    return Status::InvalidArgument("Engine::Create: block_size must be >= 1");
-  }
   if (options.cache_capacity < 0) {
     return Status::InvalidArgument(
         "Engine::Create: cache_capacity must be >= 0");
@@ -145,7 +73,6 @@ Engine::Engine(std::shared_ptr<const Snapshot> snapshot, EngineOptions options)
       pool_(options.num_threads),
       snapshot_(std::move(snapshot)) {
   CGKGR_CHECK(snapshot_ != nullptr);
-  CGKGR_CHECK(options_.block_size > 0);
   digest_ = DigestSnapshot(*snapshot_);
   row_epochs_.assign(static_cast<size_t>(snapshot_->num_users), 0);
   const obs::Labels labels = NextEngineLabels();
@@ -175,49 +102,58 @@ Engine::Engine(std::shared_ptr<const Snapshot> snapshot, EngineOptions options)
 }
 
 std::vector<ScoredItem> Engine::Compute(const Snapshot& snapshot, int64_t user,
-                                        int64_t k, bool filter_seen) const {
-  std::vector<ScoredItem> winners;
+                                        int64_t k, bool filter_seen) {
+  const float* row = snapshot.UserScores(user);
+  const size_t keep = static_cast<size_t>(std::min(k, snapshot.num_items));
+  std::vector<ScoredItem> top;
+  top.reserve(keep);
+  // `top` takes the first `keep` candidates, then becomes a heap with the
+  // worst entry on top. Ids ascend, so a later candidate that ties the
+  // worst ranks after it and never enters, and neither does a NaN. `floor`
+  // is NaN while `top` fills and the worst score after; `score <= floor` is
+  // false when either side is NaN, so every candidate that could enter
+  // passes the one compare, and Ranks decides.
+  float floor = std::numeric_limits<float>::quiet_NaN();
+  const auto scan = [&](int64_t begin, int64_t end) {
+    for (int64_t item = begin; item < end; ++item) {
+      const ScoredItem candidate{item, row[item]};
+      if (candidate.score <= floor) continue;
+      if (top.size() < keep) {
+        top.push_back(candidate);
+        if (top.size() < keep) continue;
+        std::make_heap(top.begin(), top.end(), Ranks);
+      } else if (Ranks(candidate, top.front())) {
+        std::pop_heap(top.begin(), top.end(), Ranks);
+        top.back() = candidate;
+        std::push_heap(top.begin(), top.end(), Ranks);
+      } else {
+        continue;
+      }
+      floor = top.front().score;
+    }
+  };
   {
     obs::ScopedSpan rank_span("serve/rank");
-    for (int64_t begin = 0; begin < snapshot.num_items;
-         begin += options_.block_size) {
-      BlockTopK(snapshot, user, begin,
-                std::min(snapshot.num_items, begin + options_.block_size), k,
-                filter_seen, &winners);
+    if (filter_seen) {
+      // The runs between consecutive seen ids, clamped so ids only ascend.
+      int64_t run_begin = 0;
+      for (const int64_t seen : snapshot.seen[static_cast<size_t>(user)]) {
+        const int64_t run_end = std::min(seen, snapshot.num_items);
+        scan(run_begin, run_end);
+        run_begin = std::max(run_begin, run_end + 1);
+      }
+      scan(run_begin, snapshot.num_items);
+    } else {
+      scan(0, snapshot.num_items);
     }
   }
   obs::ScopedSpan merge_span("serve/merge");
-  return HeapMergeTopK(std::move(winners), k);
-}
-
-std::vector<ScoredItem> Engine::ComputeParallel(const Snapshot& snapshot,
-                                                int64_t user, int64_t k,
-                                                bool filter_seen) {
-  const int64_t num_blocks =
-      (snapshot.num_items + options_.block_size - 1) / options_.block_size;
-  std::vector<std::vector<ScoredItem>> per_block(
-      static_cast<size_t>(num_blocks));
-  std::vector<ScoredItem> winners;
-  {
-    obs::ScopedSpan rank_span("serve/rank");
-    pool_.ParallelFor(
-        0, snapshot.num_items, options_.block_size,
-        [&](int64_t begin, int64_t end) {
-          BlockTopK(
-              snapshot, user, begin, end, k, filter_seen,
-              &per_block[static_cast<size_t>(begin / options_.block_size)]);
-        });
-    for (const auto& block : per_block) {
-      winners.insert(winners.end(), block.begin(), block.end());
-    }
-  }
-  obs::ScopedSpan merge_span("serve/merge");
-  return HeapMergeTopK(std::move(winners), k);
+  std::sort(top.begin(), top.end(), Ranks);
+  return top;
 }
 
 Response Engine::ServeOne(const Snapshot& snapshot, uint64_t generation,
-                          uint64_t epoch, const Request& request,
-                          bool parallel) {
+                          uint64_t epoch, const Request& request) {
   Response response;
   response.generation = generation;
   if (request.user < 0 || request.user >= snapshot.num_users ||
@@ -239,11 +175,7 @@ Response Engine::ServeOne(const Snapshot& snapshot, uint64_t generation,
     cache_misses_->Increment();
   }
   computes_->Increment();
-  response.items = parallel
-                       ? ComputeParallel(snapshot, request.user, request.k,
-                                         filter_seen)
-                       : Compute(snapshot, request.user, request.k,
-                                 filter_seen);
+  response.items = Compute(snapshot, request.user, request.k, filter_seen);
   if (cache_ != nullptr) cache_->Put(key, response.items);
   latency_->Record(timer.ElapsedMillis() * 1e3);
   return response;
@@ -262,7 +194,7 @@ Response Engine::Handle(const Request& request) {
       epoch = row_epochs_[static_cast<size_t>(request.user)];
     }
   }
-  return ServeOne(*snapshot, generation, epoch, request, /*parallel=*/true);
+  return ServeOne(*snapshot, generation, epoch, request);
 }
 
 std::vector<Response> Engine::HandleBatch(
@@ -296,14 +228,13 @@ std::vector<Response> Engine::HandleBatch(
     if (inserted) primaries.push_back(i);
   }
   std::vector<Response> responses(requests.size());
-  // Whole requests spread across lanes; each lane computes single-threaded
-  // (independent queries parallelize better than shared block merges).
+  // Whole requests spread across lanes; each computes on its lane.
   pool_.ParallelForEach(
       0, static_cast<int64_t>(primaries.size()), /*grain=*/1,
       [&](int64_t p) {
         const size_t i = primaries[static_cast<size_t>(p)];
         responses[i] = ServeOne(*snapshot, generation, epochs[i],
-                                requests[i], /*parallel=*/false);
+                                requests[i]);
       });
   for (size_t i = 0; i < requests.size(); ++i) {
     if (dup_of[i] == i) continue;

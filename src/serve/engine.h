@@ -22,12 +22,9 @@ namespace serve {
 
 /// Engine construction knobs.
 struct EngineOptions {
-  /// Concurrent lanes (1 = fully single-threaded, no worker spawned).
-  /// Single requests split their item blocks across lanes; HandleBatch
-  /// spreads whole requests instead (better locality, no merge contention).
+  /// Lanes HandleBatch spreads whole requests across (1 = no worker
+  /// spawned). Handle computes on the calling thread.
   int64_t num_threads = 1;
-  /// Items per scoring block (the partial_sort granule).
-  int64_t block_size = 512;
   /// Drop items the user already interacted with in the train split
   /// (overridable per request via Request::seen_filter).
   bool filter_seen = true;
@@ -40,12 +37,12 @@ struct EngineOptions {
 /// Answers Top-K recommendation queries from a frozen Snapshot at
 /// interactive latency: no model code runs on the request path.
 ///
-/// Per query, the user's score row is scanned in blocks; each block keeps
-/// its local top-k with std::partial_sort, and block winners meet in a
-/// bounded min-heap merge, so per-query work is O(num_items + blocks·k·log k)
-/// instead of a full O(num_items·log num_items) sort. Results are
-/// deterministic: ties break toward the smaller item id regardless of
-/// block/thread schedule.
+/// Per query, one pass over the user's unseen items keeps a bounded heap of
+/// at most k entries, and the survivors are sorted at the end: O(num_items)
+/// compares, O(log k) per heap replacement and O(k log k) for the sort,
+/// instead of a full O(num_items·log num_items) sort. Results follow
+/// eval::RanksBefore (score descending, NaN last, ties toward the smaller
+/// item id), a total order, so they do not depend on the lane or path.
 ///
 /// The request API is Handle/HandleBatch over serve::Request — bad
 /// arguments surface as Response::kInvalidArgument, duplicate (user, k,
@@ -67,11 +64,11 @@ class Engine {
   static Result<std::unique_ptr<Engine>> Create(
       std::shared_ptr<const Snapshot> snapshot, const EngineOptions& options);
 
-  /// Direct constructor; CHECK-fails on a null or inconsistent snapshot or
-  /// a non-positive block size. Prefer Create() for error handling.
+  /// Direct constructor; CHECK-fails on a null or inconsistent snapshot.
+  /// Prefer Create() for error handling.
   Engine(std::shared_ptr<const Snapshot> snapshot, EngineOptions options);
 
-  /// Serves one request (block-parallel across the pool's lanes).
+  /// Serves one request on the calling thread.
   /// Tenant/deadline fields are ignored at this layer — the Router and
   /// Frontend interpret them before requests reach an Engine.
   Response Handle(const Request& request) CGKGR_EXCLUDES(snapshot_mu_);
@@ -132,18 +129,18 @@ class Engine {
   const EngineOptions& options() const { return options_; }
 
  private:
-  /// Scores one request against `snapshot`, single-threaded.
-  std::vector<ScoredItem> Compute(const Snapshot& snapshot, int64_t user,
-                                  int64_t k, bool filter_seen) const;
-  /// Block-parallel variant used for direct Handle calls.
-  std::vector<ScoredItem> ComputeParallel(const Snapshot& snapshot,
-                                          int64_t user, int64_t k,
-                                          bool filter_seen);
+  /// The top min(k, candidates) of `user`'s row on the calling thread:
+  /// one ascending-id scan of the unseen items into a bounded heap (the
+  /// worst entry on top), then a sort of the survivors. The returned
+  /// vector is its one allocation.
+  static std::vector<ScoredItem> Compute(const Snapshot& snapshot,
+                                         int64_t user, int64_t k,
+                                         bool filter_seen);
   /// Cache lookup + compute + cache fill + latency accounting for one
   /// validated request. `epoch` is the user's row epoch under the serving
-  /// snapshot; `parallel` selects ComputeParallel over Compute.
+  /// snapshot.
   Response ServeOne(const Snapshot& snapshot, uint64_t generation,
-                    uint64_t epoch, const Request& request, bool parallel);
+                    uint64_t epoch, const Request& request);
 
   /// The engine-resolved seen filter for a request.
   bool ResolveFilter(SeenFilter filter) const {

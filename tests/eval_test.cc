@@ -1,10 +1,15 @@
 // Tests for src/eval: ranking metrics against hand-computed values, AUC/F1,
 // the Wilcoxon signed-rank test against reference values, the full-ranking
-// Top-K protocol driven by mock scorers, and trial aggregation.
+// Top-K protocol driven by mock scorers, the ranking order RanksBefore,
+// and trial aggregation.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "eval/experiment.h"
 #include "eval/metrics.h"
@@ -307,6 +312,73 @@ TEST(ProtocolTest, TiesRankByItemIdLikeTheEngine) {
       &flat, d, d.test, d.BuildTrainPositives(), options);
   EXPECT_EQ(result.evaluated_users, 1);
   EXPECT_DOUBLE_EQ(result.recall.at(1), 1.0);
+}
+
+TEST(ProtocolTest, NanScoresRankAfterEveryNumber) {
+  // A diverged model's NaN scores rank after every number, -inf included,
+  // and among themselves by item id.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  data::Dataset d;
+  d.name = "nan";
+  d.num_users = 1;
+  d.num_items = 5;
+  d.num_entities = 5;
+  d.num_relations = 1;
+  d.test = {{0, 1}, {0, 2}};
+  OracleScorer scorer({{nan, -inf, nan, 0.5f, nan}});
+  TopKOptions options;
+  options.ks = {1, 2, 3};
+  const TopKResult result = EvaluateTopK(
+      &scorer, d, d.test, d.BuildTrainPositives(), options);
+  // Ranking: 3, 1, 0, 2, 4.
+  EXPECT_DOUBLE_EQ(result.recall.at(1), 0.0);
+  EXPECT_DOUBLE_EQ(result.recall.at(2), 0.5);
+  EXPECT_DOUBLE_EQ(result.recall.at(3), 0.5);
+  EXPECT_DOUBLE_EQ(result.mrr, 0.5);
+}
+
+TEST(RankingOrderTest, RanksBeforeIsAStrictTotalOrderOverDistinctItems) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<std::pair<float, int64_t>> entries;
+  for (const float score : {nan, -nan, inf, -inf, 0.0f, -0.0f, 1.0f, -1.0f,
+                            std::numeric_limits<float>::denorm_min()}) {
+    for (const int64_t item : {0, 1, 2}) entries.emplace_back(score, item);
+  }
+  const auto before = [](const std::pair<float, int64_t>& a,
+                         const std::pair<float, int64_t>& b) {
+    return RanksBefore(a.first, a.second, b.first, b.second);
+  };
+  for (const auto& a : entries) {
+    EXPECT_FALSE(before(a, a));
+    for (const auto& b : entries) {
+      if (before(a, b)) {
+        EXPECT_FALSE(before(b, a));
+      }
+      // Entries of one item may tie (NaN and NaN, +0 and -0); entries of
+      // two items never do.
+      if (a.second != b.second) {
+        EXPECT_NE(before(a, b), before(b, a));
+      }
+      const bool tie_ab = !before(a, b) && !before(b, a);
+      for (const auto& c : entries) {
+        if (before(a, b) && before(b, c)) {
+          EXPECT_TRUE(before(a, c));
+        }
+        if (tie_ab && !before(b, c) && !before(c, b)) {
+          EXPECT_TRUE(!before(a, c) && !before(c, a));
+        }
+      }
+    }
+  }
+  // Numbers (even -inf) before NaN; equal scores and -0 against +0 by id.
+  EXPECT_TRUE(RanksBefore(-inf, 5, nan, 0));
+  EXPECT_FALSE(RanksBefore(nan, 0, -inf, 5));
+  EXPECT_TRUE(RanksBefore(nan, 1, nan, 2));
+  EXPECT_TRUE(RanksBefore(-0.0f, 1, 0.0f, 2));
+  EXPECT_TRUE(RanksBefore(0.0f, 1, -0.0f, 2));
+  EXPECT_TRUE(RanksBefore(2.0f, 9, 1.0f, 0));
 }
 
 TEST(ProtocolTest, UsersWithoutTargetPositivesAreSkipped) {

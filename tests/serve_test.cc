@@ -1,5 +1,6 @@
 // Tests for src/serve: snapshot save->load round-trip equality, Engine
-// Top-K agreement with brute-force model scoring, LRU cache eviction and
+// Top-K agreement with brute-force model scoring and with a full sort
+// under eval::RanksBefore (ties, NaN, +-inf, +-0), LRU cache eviction and
 // invalidation-on-reload, batch/single consistency, snapshot rebuilds that
 // are bit-identical (and pinned) for every model, and EvaluateTopK on a
 // pure-scoring model agreeing with the rows of its snapshot.
@@ -7,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,10 +63,15 @@ std::unique_ptr<models::RecommenderModel> TrainedModel(
   return model;
 }
 
-/// Engine's ranking order: score desc, item id asc.
-bool Ranks(const ScoredItem& a, const ScoredItem& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.item < b.item;
+/// Sorts `ranked` fully under eval::RanksBefore and keeps the first k.
+void FullSortTopK(std::vector<ScoredItem>* ranked, int64_t k) {
+  std::sort(ranked->begin(), ranked->end(),
+            [](const ScoredItem& a, const ScoredItem& b) {
+              return eval::RanksBefore(a.score, a.item, b.score, b.item);
+            });
+  if (static_cast<int64_t>(ranked->size()) > k) {
+    ranked->resize(static_cast<size_t>(k));
+  }
 }
 
 /// Brute-force reference: score every unseen item through the model and
@@ -80,10 +89,7 @@ std::vector<ScoredItem> BruteForceTopK(models::RecommenderModel* model,
   model->ScorePairs(users, items, &scores);
   std::vector<ScoredItem> ranked(items.size());
   for (size_t i = 0; i < items.size(); ++i) ranked[i] = {items[i], scores[i]};
-  std::sort(ranked.begin(), ranked.end(), Ranks);
-  if (static_cast<int64_t>(ranked.size()) > k) {
-    ranked.resize(static_cast<size_t>(k));
-  }
+  FullSortTopK(&ranked, k);
   return ranked;
 }
 
@@ -249,7 +255,6 @@ TEST(EngineTest, TopKMatchesBruteForceForEveryUser) {
 
   EngineOptions options;
   options.num_threads = 4;
-  options.block_size = 16;  // force multiple blocks + heap merge
   Engine engine(snapshot, options);
 
   const auto seen = dataset.BuildTrainPositives();
@@ -320,31 +325,172 @@ TEST(EngineTest, ShortCandidateListsReturnFewerThanK) {
   EXPECT_EQ(result, expected);
 }
 
-TEST(EngineTest, TinyCatalogBlocksSmallerThanKAreClamped) {
-  // Regression coverage for the BlockTopK keep-clamp audit: with a block
-  // size of 3, k = 10 exceeds every block's candidate count (and the seen
-  // filter thins one block further). An unclamped partial_sort middle
-  // iterator would walk past block.end().
+/// `items` as (item, score bits) pairs, so lists holding NaN or -0 compare
+/// bit for bit.
+std::vector<std::pair<int64_t, uint32_t>> Bits(
+    const std::vector<ScoredItem>& items) {
+  std::vector<std::pair<int64_t, uint32_t>> bits;
+  for (const ScoredItem& entry : items) {
+    uint32_t word = 0;
+    std::memcpy(&word, &entry.score, sizeof(word));
+    bits.emplace_back(entry.item, word);
+  }
+  return bits;
+}
+
+/// Full-sort reference for one request against a snapshot row.
+std::vector<ScoredItem> ReferenceTopK(const Snapshot& snapshot, int64_t user,
+                                      int64_t k, bool filter_seen) {
+  const auto& seen = snapshot.seen[static_cast<size_t>(user)];
+  std::vector<ScoredItem> ranked;
+  for (int64_t item = 0; item < snapshot.num_items; ++item) {
+    if (filter_seen && std::binary_search(seen.begin(), seen.end(), item)) {
+      continue;
+    }
+    ranked.push_back({item, snapshot.UserScores(user)[item]});
+  }
+  FullSortTopK(&ranked, k);
+  return ranked;
+}
+
+/// `num_users` x `num_items` scores from `draw`. The seen lists cycle
+/// through four shapes: both ends of the catalog, each id twice; random ids
+/// with repeats; none; every item.
+template <typename Draw>
+Snapshot RandomSnapshot(int64_t num_users, int64_t num_items, uint64_t seed,
+                        Draw draw) {
+  Rng rng(seed);
   Snapshot snapshot;
-  snapshot.model_name = "m";
-  snapshot.dataset_name = "d";
-  snapshot.num_users = 1;
-  snapshot.num_items = 7;  // blocks: [0,3) [3,6) [6,7) — all smaller than k
-  snapshot.scores = {1.0f, 7.0f, 3.0f, 6.0f, 2.0f, 5.0f, 4.0f};
-  snapshot.seen = {{3, 4, 5}};  // empties most of the middle block
-  EngineOptions options;
-  options.block_size = 3;
-  options.cache_capacity = 0;
-  Engine engine(std::make_shared<const Snapshot>(std::move(snapshot)),
-                options);
-  const auto result = TopKItems(&engine, 0, 10);
-  const std::vector<ScoredItem> expected = {
-      {1, 7.0f}, {6, 4.0f}, {2, 3.0f}, {0, 1.0f}};
-  EXPECT_EQ(result, expected);
-  // k smaller than the surviving candidate count still truncates correctly.
-  const auto top2 = TopKItems(&engine, 0, 2);
-  const std::vector<ScoredItem> expected2 = {{1, 7.0f}, {6, 4.0f}};
-  EXPECT_EQ(top2, expected2);
+  snapshot.model_name = "random";
+  snapshot.dataset_name = "random";
+  snapshot.num_users = num_users;
+  snapshot.num_items = num_items;
+  snapshot.scores.resize(static_cast<size_t>(num_users * num_items));
+  for (float& score : snapshot.scores) score = draw(&rng);
+  snapshot.seen.resize(static_cast<size_t>(num_users));
+  if (num_items == 0) return snapshot;
+  for (int64_t user = 0; user < num_users; ++user) {
+    auto& seen = snapshot.seen[static_cast<size_t>(user)];
+    switch (user % 4) {
+      case 0:
+        seen = {0, 0, num_items - 1, num_items - 1};
+        break;
+      case 1:
+        for (int64_t i = rng.UniformRange(0, 40); i > 0; --i) {
+          seen.push_back(static_cast<int64_t>(
+              rng.UniformInt(static_cast<uint64_t>(num_items))));
+        }
+        std::sort(seen.begin(), seen.end());
+        break;
+      case 2:
+        break;
+      case 3:
+        for (int64_t item = 0; item < num_items; ++item) seen.push_back(item);
+        break;
+    }
+  }
+  return snapshot;
+}
+
+/// Serves every (user, k, filter on/off) request at 1 and 4 lanes through
+/// Handle and HandleBatch on an uncached engine and twice through Handle
+/// on a cached one (the second call a cache hit). Each response must equal
+/// the full-sort reference bit for bit; k <= 0 must be refused.
+void ExpectEngineMatchesReference(const Snapshot& snapshot,
+                                  const std::set<int64_t>& ks) {
+  const auto shared = std::make_shared<const Snapshot>(snapshot);
+  std::vector<Request> requests;
+  for (int64_t user = 0; user < snapshot.num_users; ++user) {
+    for (const int64_t k : ks) {
+      for (const SeenFilter filter :
+           {SeenFilter::kFilter, SeenFilter::kInclude}) {
+        Request request;
+        request.user = user;
+        request.k = k;
+        request.seen_filter = filter;
+        requests.push_back(request);
+      }
+    }
+  }
+  for (const int64_t lanes : {1, 4}) {
+    EngineOptions options;
+    options.num_threads = lanes;
+    options.cache_capacity = 0;
+    Engine uncached(shared, options);
+    options.cache_capacity = static_cast<int64_t>(requests.size());
+    options.cache_shards = 1;
+    Engine cached(shared, options);
+    const std::vector<Response> batched = uncached.HandleBatch(requests);
+    ASSERT_EQ(batched.size(), requests.size());
+    int64_t valid = 0;
+    for (size_t r = 0; r < requests.size(); ++r) {
+      const Request& request = requests[r];
+      SCOPED_TRACE(::testing::Message()
+                   << "n " << snapshot.num_items << " user " << request.user
+                   << " k " << request.k << " filter "
+                   << (request.seen_filter == SeenFilter::kFilter)
+                   << " lanes " << lanes);
+      if (request.k <= 0) {
+        EXPECT_EQ(uncached.Handle(request).status,
+                  ResponseStatus::kInvalidArgument);
+        EXPECT_EQ(batched[r].status, ResponseStatus::kInvalidArgument);
+        continue;
+      }
+      ++valid;
+      const auto expected = Bits(
+          ReferenceTopK(snapshot, request.user, request.k,
+                        request.seen_filter == SeenFilter::kFilter));
+      const Response single = uncached.Handle(request);
+      ASSERT_TRUE(single.ok());
+      EXPECT_EQ(Bits(single.items), expected) << "Handle";
+      ASSERT_TRUE(batched[r].ok());
+      EXPECT_EQ(Bits(batched[r].items), expected) << "HandleBatch";
+      for (const char* call : {"cache miss", "cache hit"}) {
+        const Response response = cached.Handle(request);
+        ASSERT_TRUE(response.ok());
+        EXPECT_EQ(Bits(response.items), expected) << call;
+      }
+    }
+    EXPECT_EQ(cached.stats().cache_hits, valid);
+    EXPECT_EQ(cached.stats().cache_misses, valid);
+  }
+}
+
+TEST(EngineTest, MatchesFullSortReferenceWithManyTies) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (const int64_t n : {int64_t{0}, int64_t{1}, int64_t{7}, int64_t{3360}}) {
+    const Snapshot snapshot = RandomSnapshot(
+        /*num_users=*/8, n, /*seed=*/100 + static_cast<uint64_t>(n),
+        [](Rng* rng) {
+          return std::array<float, 3>{-1.0f, 0.25f, 2.0f}[rng->UniformInt(3)];
+        });
+    ExpectEngineMatchesReference(snapshot, {1, 20, n - 1, n, n + 5, kMax});
+  }
+}
+
+// Regression test: the engine's order compared `a.score > b.score`
+// whenever two scores differed, which NaN always does, so NaN ranked
+// neither before nor after any score. That is not a strict weak ordering,
+// and a NaN in a row made the top-k depend on where the engine's blocks
+// began. Under eval::RanksBefore NaN ranks after every number, and every
+// path agrees with a full sort.
+TEST(EngineTest, NanInfAndSignedZeroRankUnderTheTotalOrder) {
+  const std::array<float, 5> special = {
+      std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(), 0.0f, -0.0f};
+  Snapshot snapshot = RandomSnapshot(
+      /*num_users=*/200, /*num_items=*/40, /*seed=*/2024, [&](Rng* rng) {
+        return rng->Bernoulli(0.3) ? special[rng->UniformInt(special.size())]
+                                   : rng->Normal();
+      });
+  // User 0's row is all NaN and user 2's all -0.
+  const auto row = [&](int64_t user) {
+    return snapshot.scores.begin() + user * snapshot.num_items;
+  };
+  std::fill(row(0), row(1), special[0]);
+  std::fill(row(2), row(3), -0.0f);
+  ExpectEngineMatchesReference(snapshot, {1, 3, 5, 20, 39, 40, 45});
 }
 
 // --- LRU cache ---
@@ -823,9 +969,6 @@ TEST(EngineTest, CreateValidatesSnapshotAndOptions) {
   auto good = std::make_shared<const Snapshot>(TinySnapshot());
   EngineOptions bad;
   bad.num_threads = 0;
-  EXPECT_FALSE(Engine::Create(good, bad).ok());
-  bad = EngineOptions{};
-  bad.block_size = 0;
   EXPECT_FALSE(Engine::Create(good, bad).ok());
   bad = EngineOptions{};
   bad.cache_capacity = -1;

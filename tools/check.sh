@@ -16,15 +16,20 @@
 #        CGKGR_CHECK_TSAN=1  ThreadSanitizer over the concurrency-heavy
 #                            tests (thread_pool_test, trainer_test, and
 #                            cgkgr_model_test + serve_test, whose CG-KGR
-#                            scoring runs forwards on parallel lanes).
+#                            scoring runs forwards on parallel lanes, and
+#                            serve_frontend_test, whose dispatcher threads
+#                            run Frontend -> Router -> Engine and the
+#                            engine's top-k selection).
 #        CGKGR_CHECK_ASAN=1  AddressSanitizer over the memory-heavy tests
 #                            (tensor_test, autograd_test, ckpt_test), the
 #                            model zoo (baselines_test), whose parameters
 #                            live in the shared models::RecommenderModel
 #                            base, cgkgr_model_test, whose tape-free scoring
 #                            forward indexes its scratch buffers by offset,
-#                            and serve_test, whose snapshot digest and
-#                            delta apply index score rows by offset.
+#                            serve_test, whose snapshot digest and delta
+#                            apply index score rows by offset, and
+#                            serve_frontend_test, whose dispatchers run the
+#                            engine's top-k selection over those rows.
 #        CGKGR_CHECK_UBSAN=1 UndefinedBehaviorSanitizer over the numeric
 #                            core (tensor_test, autograd_test,
 #                            cgkgr_model_test), the model zoo
@@ -110,7 +115,8 @@ run_sanitizer() {
 
 if [ "${CGKGR_CHECK_TSAN:-0}" = "1" ]; then
   run_sanitizer ThreadSanitizer thread build-tsan \
-    thread_pool_test trainer_test cgkgr_model_test serve_test
+    thread_pool_test trainer_test cgkgr_model_test serve_test \
+    serve_frontend_test
 else
   echo "== ThreadSanitizer: SKIPPED (set CGKGR_CHECK_TSAN=1 to enable) =="
 fi
@@ -118,7 +124,7 @@ fi
 if [ "${CGKGR_CHECK_ASAN:-0}" = "1" ]; then
   run_sanitizer AddressSanitizer address build-asan \
     tensor_test autograd_test ckpt_test baselines_test cgkgr_model_test \
-    serve_test
+    serve_test serve_frontend_test
 else
   echo "== AddressSanitizer: SKIPPED (set CGKGR_CHECK_ASAN=1 to enable) =="
 fi
