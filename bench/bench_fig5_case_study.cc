@@ -90,14 +90,9 @@ double Spread(const core::CgKgrModel::AttentionInspection& insp) {
 int main(int argc, char** argv) {
   using namespace cgkgr;
   FlagParser flags;
-  flags.DefineInt64("trials", 2, "repeated trials (split seed x init seed)");
   flags.DefineInt64("epochs", 0, "override max epochs (0 = preset default)");
   flags.DefineInt64("seed", 17, "base random seed");
   flags.DefineDouble("scale", 1.0, "dataset scale factor");
-  flags.DefineInt64("max_eval_users", 100,
-                    "users sampled for Top-K evaluation");
-  flags.DefineString("datasets", "music,book,movie,restaurant",
-                     "comma-separated dataset presets");
   flags.DefineBool("verbose", false, "log per-epoch progress");
   flags.DefineString("dataset", "book", "preset for the case study");
   flags.DefineInt64("item", 1, "target item id");

@@ -2,14 +2,16 @@
 // score snapshot on disk, then stand up the full online stack — a Router
 // hosting the snapshot as a tenant, an async Frontend micro-batching
 // admissions in front of it — and hot-publish a *delta* snapshot while
-// traffic flows. Model code never runs on the request path.
+// traffic flows. Model code never runs on the request path. Exits 1 when
+// no query is served or the hot reload or the delta publish fails.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/example_serve_topk --preset music --model CG-KGR
 //
 //   --threads 4        serve with 4 lanes
-//   --snapshot <path>  where to persist the frozen scores
+//   --snapshot <path>  where to persist the frozen scores (the hot-reload
+//                      demo publishes into <path>.d/)
 //   --metrics          print the process metrics registry at exit
 //
 // With CGKGR_TRACE=trace.json in the environment, the whole run (training
@@ -148,7 +150,7 @@ int main(int argc, char** argv) {
   }
 
   // 5. Serve a demo workload through the Frontend: producers Submit() and
-  // block on futures while dispatchers coalesce the queue into
+  // block on futures while the dispatcher coalesces the queue into
   // micro-batches. Repeats make the LRU cache earn hits.
   const int64_t num_queries = flags.GetInt64("queries");
   Rng rng(static_cast<uint64_t>(flags.GetInt64("seed")) ^ 0xC0FFEE);
@@ -182,24 +184,30 @@ int main(int argc, char** argv) {
   // 6. Hot-reload: a trainer publishes numbered snapshots into a watched
   // directory (atomic rename, so a reader never sees a torn file) and the
   // engine picks up the newest valid one. A half-written file is skipped
-  // with a logged warning — corruption never takes the engine down.
+  // with a logged warning — corruption never takes the engine down. The
+  // watch directory starts empty, so every run publishes the same timeline.
   serve::Engine* engine = router.GetEngine("main");
   const std::string watch_dir = path + ".d";
   std::error_code ec;
+  std::filesystem::remove_all(watch_dir, ec);
   std::filesystem::create_directories(watch_dir, ec);
   st = serve::SaveSnapshot(snapshot, watch_dir + "/snap-000001.snap");
   if (st.ok()) {
     { std::ofstream torn(watch_dir + "/snap-000002.snap"); torn << "CGKG"; }
     st = engine->ReloadFromDir(watch_dir);
-    std::printf("hot-reload from %s: %s (reloads=%lld)\n", watch_dir.c_str(),
-                st.ok() ? "picked newest valid snapshot"
-                        : st.ToString().c_str(),
-                (long long)engine->stats().snapshot_reloads);
   }
+  const bool reloaded = st.ok() && engine->stats().snapshot_reloads == 1;
+  std::printf("hot-reload from %s: %s (reloads=%lld)\n", watch_dir.c_str(),
+              reloaded  ? "picked newest valid snapshot"
+              : st.ok() ? "installed nothing"
+                        : st.ToString().c_str(),
+              (long long)engine->stats().snapshot_reloads);
 
   // 7. Delta publish: an online updater that only moved some users ships
   // the changed rows as a `.delta` — a fraction of the full snapshot's
   // bytes — and only those users' cached lists are invalidated on apply.
+  // ReloadFromDir skips an inapplicable delta and still returns OK, so the
+  // delta reload count tells whether it was applied.
   serve::Snapshot updated = snapshot;
   for (int64_t user = 0; user < updated.num_users; user += 7) {
     for (int64_t item = 0; item < updated.num_items; ++item) {
@@ -208,17 +216,22 @@ int main(int argc, char** argv) {
     }
   }
   Result<serve::SnapshotDelta> delta = serve::BuildDelta(snapshot, updated);
-  if (delta.ok()) {
+  st = delta.status();
+  if (st.ok()) {
     st = serve::SaveDelta(delta.value(), watch_dir + "/snap-000003.delta");
-    if (st.ok()) st = engine->ReloadFromDir(watch_dir);
-    std::printf("delta publish (%zu/%lld users changed): %s "
-                "(delta reloads=%lld, generation=%llu)\n",
-                delta.value().rows.size(), (long long)updated.num_users,
-                st.ok() ? "applied with row-level cache invalidation"
-                        : st.ToString().c_str(),
-                (long long)engine->stats().snapshot_delta_reloads,
-                (unsigned long long)engine->generation());
   }
+  if (st.ok()) st = engine->ReloadFromDir(watch_dir);
+  const bool delta_applied =
+      st.ok() && engine->stats().snapshot_delta_reloads == 1;
+  std::printf("delta publish (%zu/%lld users changed): %s "
+              "(delta reloads=%lld, generation=%llu)\n",
+              delta.ok() ? delta.value().rows.size() : size_t{0},
+              (long long)updated.num_users,
+              delta_applied ? "applied with row-level cache invalidation"
+              : st.ok()     ? "skipped"
+                            : st.ToString().c_str(),
+              (long long)engine->stats().snapshot_delta_reloads,
+              (unsigned long long)engine->generation());
 
   // 8. Serving counters: per-engine scoring/cache stats and the
   // frontend's admission stats.
@@ -235,5 +248,12 @@ int main(int argc, char** argv) {
     std::printf("trace spans will be written to %s at exit\n",
                 obs::TraceCollector::Default().output_path().c_str());
   }
-  return served > 0 ? 0 : 1;
+  if (served == 0 || !reloaded || !delta_applied) {
+    std::fprintf(stderr, "serve demo failed: %lld queries served, hot "
+                 "reload %s, delta publish %s\n", (long long)served,
+                 reloaded ? "ok" : "failed",
+                 delta_applied ? "ok" : "failed");
+    return 1;
+  }
+  return 0;
 }

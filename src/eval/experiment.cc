@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "obs/jsonl.h"
 
 namespace cgkgr {
 namespace eval {
@@ -45,22 +44,6 @@ std::string TrialAggregator::BestRowExcept(const std::string& metric,
     }
   }
   return best;
-}
-
-void TrialAggregator::WriteJsonl(obs::JsonlSink* sink) const {
-  if (sink == nullptr) return;
-  for (const std::string& row : row_order_) {
-    const auto& metrics = data_.at(row);
-    for (const auto& [metric, samples] : metrics) {
-      const MeanStd summary = ComputeMeanStd(samples);
-      sink->Write(obs::JsonlRow()
-                      .Add("row", row)
-                      .Add("metric", metric)
-                      .Add("mean", summary.mean)
-                      .Add("std", summary.std)
-                      .Add("n", static_cast<int64_t>(samples.size())));
-    }
-  }
 }
 
 std::string FormatMeanStd(const MeanStd& value, double scale) {

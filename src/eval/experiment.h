@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "eval/metrics.h"
-#include "obs/jsonl.h"
 
 namespace cgkgr {
 namespace eval {
@@ -33,12 +32,6 @@ class TrialAggregator {
   /// Returns an empty string if there are no other rows.
   std::string BestRowExcept(const std::string& metric,
                             const std::string& exclude) const;
-
-  /// Writes one JSONL row per (row, metric) pair — row, metric, mean, std,
-  /// n — to `sink` (rows in insertion order, metrics in name order), so
-  /// aggregate tables land next to the per-epoch learning-curve rows; see
-  /// docs/observability.md.
-  void WriteJsonl(obs::JsonlSink* sink) const;
 
  private:
   std::map<std::string, std::map<std::string, std::vector<double>>> data_;

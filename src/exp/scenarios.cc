@@ -277,7 +277,7 @@ Status RunServeCase(const CaseSpec& spec, uint64_t seed,
 /// stack with the serve scenario's zipf stream in closed-loop waves. For
 /// the "full" and "delta" reload modes a second artifact touching only the
 /// upper half of the user space is published and hot-reloaded while a wave
-/// is in flight, so each row captures shed/expired accounting plus the
+/// is in flight, so each row captures shed accounting plus the
 /// cache-survival difference between whole-cache and row-level
 /// invalidation (the zipf-hot users are the low ids the delta spares).
 Status RunServeFrontendCase(const CaseSpec& spec, uint64_t seed,
@@ -351,7 +351,6 @@ Status RunServeFrontendCase(const CaseSpec& spec, uint64_t seed,
         serve::FrontendOptions frontend_options;
         frontend_options.max_batch = spec.batch;
         frontend_options.max_queue = spec.queue_cap;
-        frontend_options.default_deadline_micros = spec.deadline_us;
         Result<std::unique_ptr<serve::Frontend>> frontend =
             serve::Frontend::Create(&router, frontend_options);
         CGKGR_RETURN_NOT_OK(frontend.status());
@@ -359,7 +358,7 @@ Status RunServeFrontendCase(const CaseSpec& spec, uint64_t seed,
         const size_t wave_size =
             static_cast<size_t>(std::min<int64_t>(spec.queue_cap, 256));
         int64_t served_ok = 0;
-        int64_t mis_served = 0;  // any status besides ok/shed/expired
+        int64_t mis_served = 0;  // any status besides ok/shed
         bool reloaded = false;
 
         RowProbe probe;
@@ -394,7 +393,6 @@ Status RunServeFrontendCase(const CaseSpec& spec, uint64_t seed,
                 ++served_ok;
                 break;
               case serve::ResponseStatus::kShedQueueFull:
-              case serve::ResponseStatus::kDeadlineExpired:
                 break;  // reported load shedding, not a drop
               default:
                 ++mis_served;
@@ -407,7 +405,7 @@ Status RunServeFrontendCase(const CaseSpec& spec, uint64_t seed,
         const serve::FrontendStats frontend_stats =
             frontend.value()->stats();
         // The invariant the comparator gates on: every submission got a
-        // real answer (served, shed, or expired — never lost or errored)
+        // real answer (served or shed — never lost or errored)
         // and the mid-stream publication actually installed.
         const bool all_served =
             mis_served == 0 &&
@@ -430,7 +428,6 @@ Status RunServeFrontendCase(const CaseSpec& spec, uint64_t seed,
         row.params.Set("batch", obs::Json::Int(spec.batch));
         row.params.Set("k", obs::Json::Int(spec.k));
         row.params.Set("queue_cap", obs::Json::Int(spec.queue_cap));
-        row.params.Set("deadline_us", obs::Json::Int(spec.deadline_us));
         row.params.Set("trial", obs::Json::Int(trial));
         row.metrics.Set(
             "qps", obs::Json::Double(static_cast<double>(requests.size()) /
@@ -445,9 +442,6 @@ Status RunServeFrontendCase(const CaseSpec& spec, uint64_t seed,
                         obs::Json::Double(engine_stats.CacheHitRate()));
         row.metrics.Set("shed_frac",
                         obs::Json::Double(frontend_stats.ShedFraction()));
-        row.metrics.Set(
-            "expired_frac",
-            obs::Json::Double(frontend_stats.ExpiredFraction()));
         row.metrics.Set("queue_peak",
                         obs::Json::Int(frontend_stats.queue_peak));
         row.metrics.Set("served_ok", obs::Json::Int(served_ok));

@@ -198,8 +198,7 @@ Status ParseCase(const obs::Json& json, size_t index, CaseSpec* out) {
       out->scale = value.AsDouble();
     } else if (key == "trials" || key == "epochs" || key == "queries" ||
                key == "batch" || key == "k" || key == "reps" ||
-               key == "iters" || key == "deadline_us" ||
-               key == "queue_cap") {
+               key == "iters" || key == "queue_cap") {
       if (!value.is_int()) {
         return CaseError(index, "\"" + key + "\" must be an integer");
       }
@@ -211,7 +210,6 @@ Status ParseCase(const obs::Json& json, size_t index, CaseSpec* out) {
       if (key == "k") out->k = v;
       if (key == "reps") out->reps = v;
       if (key == "iters") out->iters = v;
-      if (key == "deadline_us") out->deadline_us = v;
       if (key == "queue_cap") out->queue_cap = v;
     } else if (key == "threads") {
       CGKGR_RETURN_NOT_OK(ReadIntList(value, key, &out->threads));
@@ -278,9 +276,6 @@ Status ParseCase(const obs::Json& json, size_t index, CaseSpec* out) {
   if (out->k < 1) return CaseError(index, "\"k\" must be >= 1");
   if (out->reps < 1) return CaseError(index, "\"reps\" must be >= 1");
   if (out->iters < 1) return CaseError(index, "\"iters\" must be >= 1");
-  if (out->deadline_us < 0) {
-    return CaseError(index, "\"deadline_us\" must be >= 0");
-  }
   if (out->queue_cap < 1) {
     return CaseError(index, "\"queue_cap\" must be >= 1");
   }

@@ -24,7 +24,7 @@ namespace exp {
 ///   train          — ParallelTrainer thread sweep: samples/sec + bit-identity.
 ///   serve          — serve::Engine qps/latency sweep over a frozen snapshot.
 ///   serve_frontend — Frontend/Router reload-under-load: full vs delta
-///                    snapshot publication with shed/expired accounting.
+///                    snapshot publication with shed accounting.
 ///   ckpt           — checkpoint publish / open / load latency vs model size.
 ///   micro_ops      — kernel microbenchmarks of the tensor/autograd substrate.
 ///   quality        — the paper-table loop: datasets x trials x KG-corruption
@@ -79,8 +79,6 @@ struct CaseSpec {
   std::vector<bool> cache = {false};
 
   // Serve-frontend-scenario knobs (batch/queries/k above also apply).
-  /// Per-request deadline in micros; 0 disables deadline shedding.
-  int64_t deadline_us = 0;
   /// Admission-queue bound (FrontendOptions::max_queue).
   int64_t queue_cap = 1024;
   /// Mid-stream reload modes swept ("none", "full", "delta"); each

@@ -5,7 +5,6 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "ckpt/io.h"
@@ -61,10 +60,6 @@ Result<std::unique_ptr<Engine>> Engine::Create(
     return Status::InvalidArgument(
         "Engine::Create: cache_capacity must be >= 0");
   }
-  if (options.cache_shards < 1) {
-    return Status::InvalidArgument(
-        "Engine::Create: cache_shards must be >= 1");
-  }
   return std::make_unique<Engine>(std::move(snapshot), options);
 }
 
@@ -96,13 +91,12 @@ Engine::Engine(std::shared_ptr<const Snapshot> snapshot, EngineOptions options)
   if (options_.cache_capacity > 0) {
     cache_ = std::make_unique<
         ShardedLruCache<CacheKey, std::vector<ScoredItem>, CacheKeyHash>>(
-        options_.cache_capacity, std::max<int64_t>(1, options_.cache_shards),
-        cache_evictions_, cache_size_);
+        options_.cache_capacity, kCacheShards, cache_evictions_, cache_size_);
   }
 }
 
 std::vector<ScoredItem> Engine::Compute(const Snapshot& snapshot, int64_t user,
-                                        int64_t k, bool filter_seen) {
+                                        int64_t k) {
   const float* row = snapshot.UserScores(user);
   const size_t keep = static_cast<size_t>(std::min(k, snapshot.num_items));
   std::vector<ScoredItem> top;
@@ -134,18 +128,14 @@ std::vector<ScoredItem> Engine::Compute(const Snapshot& snapshot, int64_t user,
   };
   {
     obs::ScopedSpan rank_span("serve/rank");
-    if (filter_seen) {
-      // The runs between consecutive seen ids, clamped so ids only ascend.
-      int64_t run_begin = 0;
-      for (const int64_t seen : snapshot.seen[static_cast<size_t>(user)]) {
-        const int64_t run_end = std::min(seen, snapshot.num_items);
-        scan(run_begin, run_end);
-        run_begin = std::max(run_begin, run_end + 1);
-      }
-      scan(run_begin, snapshot.num_items);
-    } else {
-      scan(0, snapshot.num_items);
+    // The runs between consecutive seen ids, clamped so ids only ascend.
+    int64_t run_begin = 0;
+    for (const int64_t seen : snapshot.seen[static_cast<size_t>(user)]) {
+      const int64_t run_end = std::min(seen, snapshot.num_items);
+      scan(run_begin, run_end);
+      run_begin = std::max(run_begin, run_end + 1);
     }
+    scan(run_begin, snapshot.num_items);
   }
   obs::ScopedSpan merge_span("serve/merge");
   std::sort(top.begin(), top.end(), Ranks);
@@ -164,8 +154,7 @@ Response Engine::ServeOne(const Snapshot& snapshot, uint64_t generation,
   obs::ScopedSpan request_span("serve/request");
   WallTimer timer;
   requests_->Increment();
-  const bool filter_seen = ResolveFilter(request.seen_filter);
-  const CacheKey key{epoch, request.user, request.k, filter_seen};
+  const CacheKey key{epoch, request.user, request.k};
   if (cache_ != nullptr && cache_->Get(key, &response.items)) {
     cache_hits_->Increment();
     latency_->Record(timer.ElapsedMillis() * 1e3);
@@ -175,7 +164,7 @@ Response Engine::ServeOne(const Snapshot& snapshot, uint64_t generation,
     cache_misses_->Increment();
   }
   computes_->Increment();
-  response.items = Compute(snapshot, request.user, request.k, filter_seen);
+  response.items = Compute(snapshot, request.user, request.k);
   if (cache_ != nullptr) cache_->Put(key, response.items);
   latency_->Record(timer.ElapsedMillis() * 1e3);
   return response;
@@ -216,14 +205,12 @@ std::vector<Response> Engine::HandleBatch(
   // Coalesce duplicates: a hot user repeated in one batch is computed once
   // and fanned back out. The ordered map keeps the distinct set (and thus
   // the parallel schedule) deterministic.
-  std::map<std::tuple<int64_t, int64_t, bool>, size_t> first_of;
+  std::map<std::pair<int64_t, int64_t>, size_t> first_of;
   std::vector<size_t> primaries;
   std::vector<size_t> dup_of(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    const auto key = std::make_tuple(
-        requests[i].user, requests[i].k,
-        ResolveFilter(requests[i].seen_filter));
-    const auto [it, inserted] = first_of.try_emplace(key, i);
+    const auto [it, inserted] =
+        first_of.try_emplace({requests[i].user, requests[i].k}, i);
     dup_of[i] = it->second;
     if (inserted) primaries.push_back(i);
   }
@@ -236,9 +223,12 @@ std::vector<Response> Engine::HandleBatch(
         responses[i] = ServeOne(*snapshot, generation, epochs[i],
                                 requests[i]);
       });
+  // A duplicate counts as served traffic only when its primary was served:
+  // a refused request counts nowhere, however often it repeats.
   for (size_t i = 0; i < requests.size(); ++i) {
     if (dup_of[i] == i) continue;
     responses[i] = responses[dup_of[i]];
+    if (!responses[i].ok()) continue;
     requests_->Increment();
     batch_coalesced_->Increment();
   }
@@ -340,26 +330,31 @@ Status Engine::ReloadFromDir(const std::string& dir) {
       }
     }
   }
+
+  // Loads and installs one full snapshot. A corrupt (half-written,
+  // bit-flipped, truncated) snapshot must never take the engine down: it is
+  // logged, counted and reported as not installed.
+  const auto install = [&](const std::string& name) {
+    Result<Snapshot> snapshot = LoadSnapshot(dir + "/" + name);
+    if (!snapshot.ok()) {
+      CGKGR_LOG(Warning) << "ReloadFromDir: skipping invalid snapshot "
+                         << dir << "/" << name << ": "
+                         << snapshot.status().ToString();
+      snapshot_reload_skipped_->Increment();
+      return false;
+    }
+    InstallSnapshot(
+        std::make_shared<const Snapshot>(std::move(snapshot).value()), name);
+    return true;
+  };
+
   // No anchor: install the newest valid full snapshot first (deltas cannot
   // bootstrap an arbitrary base), then chain only the deltas after it —
   // every later .snap was already tried and failed in this back-walk.
   bool deltas_only = false;
   if (!have_base) {
     for (size_t i = names.size(); i-- > 0;) {
-      if (!EndsWith(names[i], ".snap")) continue;
-      Result<Snapshot> snapshot = LoadSnapshot(dir + "/" + names[i]);
-      if (!snapshot.ok()) {
-        // A corrupt (half-written, bit-flipped, truncated) snapshot must
-        // never take the engine down — log, count, try the next-newest.
-        CGKGR_LOG(Warning) << "ReloadFromDir: skipping invalid snapshot "
-                           << dir << "/" << names[i] << ": "
-                           << snapshot.status().ToString();
-        snapshot_reload_skipped_->Increment();
-        continue;
-      }
-      InstallSnapshot(
-          std::make_shared<const Snapshot>(std::move(snapshot).value()),
-          names[i]);
+      if (!EndsWith(names[i], ".snap") || !install(names[i])) continue;
       have_base = true;
       begin = i + 1;
       deltas_only = true;
@@ -373,18 +368,7 @@ Status Engine::ReloadFromDir(const std::string& dir) {
   // Forward-apply everything published after the anchor, in name order.
   for (size_t i = begin; i < names.size(); ++i) {
     if (EndsWith(names[i], ".snap")) {
-      if (deltas_only) continue;
-      Result<Snapshot> snapshot = LoadSnapshot(dir + "/" + names[i]);
-      if (!snapshot.ok()) {
-        CGKGR_LOG(Warning) << "ReloadFromDir: skipping invalid snapshot "
-                           << dir << "/" << names[i] << ": "
-                           << snapshot.status().ToString();
-        snapshot_reload_skipped_->Increment();
-        continue;
-      }
-      InstallSnapshot(
-          std::make_shared<const Snapshot>(std::move(snapshot).value()),
-          names[i]);
+      if (!deltas_only) install(names[i]);
       continue;
     }
     Result<SnapshotDelta> delta = LoadDelta(dir + "/" + names[i]);

@@ -25,17 +25,14 @@ struct EngineOptions {
   /// Lanes HandleBatch spreads whole requests across (1 = no worker
   /// spawned). Handle computes on the calling thread.
   int64_t num_threads = 1;
-  /// Drop items the user already interacted with in the train split
-  /// (overridable per request via Request::seen_filter).
-  bool filter_seen = true;
-  /// Total cached result lists across shards; 0 disables the cache.
+  /// Total cached result lists across the cache's kCacheShards lock
+  /// shards; 0 disables the cache.
   int64_t cache_capacity = 4096;
-  /// Lock shards of the result cache.
-  int64_t cache_shards = 8;
 };
 
 /// Answers Top-K recommendation queries from a frozen Snapshot at
-/// interactive latency: no model code runs on the request path.
+/// interactive latency: no model code runs on the request path. A user's
+/// train-split items (Snapshot::seen) are never recommended.
 ///
 /// Per query, one pass over the user's unseen items keeps a bounded heap of
 /// at most k entries, and the survivors are sorted at the end: O(num_items)
@@ -45,8 +42,8 @@ struct EngineOptions {
 /// item id), a total order, so they do not depend on the lane or path.
 ///
 /// The request API is Handle/HandleBatch over serve::Request — bad
-/// arguments surface as Response::kInvalidArgument, duplicate (user, k,
-/// filter) entries within one batch are coalesced to a single computation,
+/// arguments surface as Response::kInvalidArgument, duplicate (user, k)
+/// entries within one batch are coalesced to a single computation,
 /// and each response carries the snapshot generation that served it.
 ///
 /// Thread safety: Handle/HandleBatch may be called concurrently with each
@@ -68,15 +65,16 @@ class Engine {
   /// Prefer Create() for error handling.
   Engine(std::shared_ptr<const Snapshot> snapshot, EngineOptions options);
 
-  /// Serves one request on the calling thread.
-  /// Tenant/deadline fields are ignored at this layer — the Router and
-  /// Frontend interpret them before requests reach an Engine.
+  /// Serves one request on the calling thread. The tenant field is
+  /// ignored at this layer — the Router resolves it before requests reach
+  /// an Engine.
   Response Handle(const Request& request) CGKGR_EXCLUDES(snapshot_mu_);
 
   /// Serves a batch, parallelized whole-request across the pool. Results
-  /// align with `requests`. Duplicate (user, k, filter) entries are
-  /// computed once and fanned back out (serve_batch_coalesced_total counts
-  /// the duplicates); every entry still counts toward serve_requests_total.
+  /// align with `requests`. Duplicate (user, k) entries are computed once
+  /// and fanned back out. A duplicate of a served request counts toward
+  /// serve_requests_total and serve_batch_coalesced_total; a duplicate of
+  /// a refused one counts nowhere, like the refused request itself.
   std::vector<Response> HandleBatch(const std::vector<Request>& requests)
       CGKGR_EXCLUDES(snapshot_mu_);
 
@@ -128,44 +126,41 @@ class Engine {
 
   const EngineOptions& options() const { return options_; }
 
+  /// Lock shards of the result cache.
+  static constexpr int64_t kCacheShards = 8;
+
  private:
   /// The top min(k, candidates) of `user`'s row on the calling thread:
   /// one ascending-id scan of the unseen items into a bounded heap (the
   /// worst entry on top), then a sort of the survivors. The returned
   /// vector is its one allocation.
   static std::vector<ScoredItem> Compute(const Snapshot& snapshot,
-                                         int64_t user, int64_t k,
-                                         bool filter_seen);
+                                         int64_t user, int64_t k);
   /// Cache lookup + compute + cache fill + latency accounting for one
   /// validated request. `epoch` is the user's row epoch under the serving
   /// snapshot.
   Response ServeOne(const Snapshot& snapshot, uint64_t generation,
                     uint64_t epoch, const Request& request);
 
-  /// The engine-resolved seen filter for a request.
-  bool ResolveFilter(SeenFilter filter) const {
-    if (filter == SeenFilter::kEngineDefault) return options_.filter_seen;
-    return filter == SeenFilter::kFilter;
-  }
-
   struct CacheKey {
     uint64_t epoch = 0;
     int64_t user = 0;
     int64_t k = 0;
-    bool filter_seen = false;
 
     bool operator==(const CacheKey&) const = default;
   };
   struct CacheKeyHash {
     size_t operator()(const CacheKey& key) const {
-      // splitmix-style mixing of the four fields.
+      // splitmix-style mixing of the three fields. The salted closing round
+      // is the one earlier releases spent on a seen-filter bit that is now
+      // always set: it keeps every key in the same shard, so per-shard
+      // eviction and the hit counts the benchmarks record stay the same.
       uint64_t h = key.epoch * 0x9E3779B97F4A7C15ULL;
       h ^= static_cast<uint64_t>(key.user) + 0x9E3779B97F4A7C15ULL +
            (h << 6) + (h >> 2);
       h ^= static_cast<uint64_t>(key.k) + 0x9E3779B97F4A7C15ULL + (h << 6) +
            (h >> 2);
-      h ^= static_cast<uint64_t>(key.filter_seen ? 0x9E37u : 0x79B9u) +
-           (h << 6) + (h >> 2);
+      h ^= uint64_t{0x9E37} + (h << 6) + (h >> 2);
       return static_cast<size_t>(h);
     }
   };

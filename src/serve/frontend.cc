@@ -41,14 +41,6 @@ Result<std::unique_ptr<Frontend>> Frontend::Create(
   if (options.max_queue < 1) {
     return Status::InvalidArgument("Frontend::Create: max_queue must be >= 1");
   }
-  if (options.num_dispatchers < 1) {
-    return Status::InvalidArgument(
-        "Frontend::Create: num_dispatchers must be >= 1");
-  }
-  if (options.default_deadline_micros < 0) {
-    return Status::InvalidArgument(
-        "Frontend::Create: default_deadline_micros must be >= 0");
-  }
   return std::make_unique<Frontend>(router, options);
 }
 
@@ -57,24 +49,19 @@ Frontend::Frontend(Router* router, FrontendOptions options)
   CGKGR_CHECK(router_ != nullptr);
   CGKGR_CHECK(options_.max_batch > 0);
   CGKGR_CHECK(options_.max_queue > 0);
-  CGKGR_CHECK(options_.num_dispatchers > 0);
   const obs::Labels labels = NextFrontendLabels();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   submitted_ = registry.GetCounter("serve_frontend_submitted_total", labels);
   completed_ = registry.GetCounter("serve_frontend_completed_total", labels);
   shed_ = registry.GetCounter("serve_frontend_shed_total", labels);
-  expired_ = registry.GetCounter("serve_frontend_expired_total", labels);
   batches_ = registry.GetCounter("serve_frontend_batches_total", labels);
   batch_size_ = registry.GetHistogram("serve_frontend_batch_size", labels);
   queue_depth_ = registry.GetGauge("serve_frontend_queue_depth", labels);
-  // Dispatchers are long-lived tasks, not ParallelFor lanes: the pool needs
-  // num_dispatchers workers, and ThreadPool(n) spawns n-1 (a 1-lane pool
-  // would run the infinite loop inline in Submit).
-  pool_ = std::make_unique<ThreadPool>(options_.num_dispatchers + 1,
-                                       "serve_frontend");
-  for (int64_t d = 0; d < options_.num_dispatchers; ++d) {
-    pool_->Submit([this] { DispatcherLoop(); });
-  }
+  // The dispatcher is a long-lived task, not a ParallelFor lane: the pool
+  // needs one worker, and ThreadPool(n) spawns n-1 (a 1-lane pool would run
+  // the infinite loop inline in Submit).
+  pool_ = std::make_unique<ThreadPool>(2, "serve_frontend");
+  pool_->Submit([this] { DispatcherLoop(); });
 }
 
 Frontend::~Frontend() {
@@ -83,7 +70,7 @@ Frontend::~Frontend() {
     stop_ = true;
   }
   work_cv_.notify_all();
-  // Joins the dispatchers; they drain the queue before exiting, so every
+  // Joins the dispatcher; it drains the queue before exiting, so every
   // admitted request's promise has been fulfilled when this returns.
   pool_.reset();
   CGKGR_CHECK(queue_.empty());
@@ -117,7 +104,6 @@ std::future<Response> Frontend::Submit(Request request) {
   if (rejected == ResponseStatus::kShedQueueFull) shed_->Increment();
   Response response;
   response.status = rejected;
-  response.tenant = request.tenant;
   promise.set_value(std::move(response));
   return future;
 }
@@ -139,37 +125,19 @@ void Frontend::DispatcherLoop() {
     }
     queue_depth_->Add(-static_cast<double>(popped.size()));
 
-    // Shed overdue entries before spending compute on them: a request
-    // whose caller stopped waiting is pure wasted work.
-    std::vector<size_t> live;
-    live.reserve(popped.size());
-    for (size_t i = 0; i < popped.size(); ++i) {
-      const int64_t deadline = EffectiveDeadline(popped[i].request);
-      if (deadline > 0 &&
-          popped[i].queued.ElapsedMillis() * 1e3 > static_cast<double>(
-                                                       deadline)) {
-        expired_->Increment();
-        Response response;
-        response.status = ResponseStatus::kDeadlineExpired;
-        response.tenant = popped[i].request.tenant;
-        popped[i].promise.set_value(std::move(response));
-        continue;
-      }
-      live.push_back(i);
+    std::vector<Request> batch;
+    batch.reserve(popped.size());
+    for (Pending& pending : popped) {
+      batch.push_back(std::move(pending.request));
     }
-    if (!live.empty()) {
-      std::vector<Request> batch;
-      batch.reserve(live.size());
-      for (const size_t i : live) batch.push_back(popped[i].request);
-      std::vector<Response> responses = router_->HandleBatch(batch);
-      // Count before fulfilling the promises: a caller that wakes on its
-      // future and immediately reads stats() must see its own completion.
-      completed_->Increment(static_cast<int64_t>(live.size()));
-      batches_->Increment();
-      batch_size_->Record(static_cast<double>(live.size()));
-      for (size_t j = 0; j < live.size(); ++j) {
-        popped[live[j]].promise.set_value(std::move(responses[j]));
-      }
+    std::vector<Response> responses = router_->HandleBatch(batch);
+    // Count before fulfilling the promises: a caller that wakes on its
+    // future and immediately reads stats() must see its own completion.
+    completed_->Increment(static_cast<int64_t>(popped.size()));
+    batches_->Increment();
+    batch_size_->Record(static_cast<double>(popped.size()));
+    for (size_t i = 0; i < popped.size(); ++i) {
+      popped[i].promise.set_value(std::move(responses[i]));
     }
   }
 }
@@ -179,7 +147,6 @@ FrontendStats Frontend::stats() const {
   stats.submitted = submitted_->value();
   stats.completed = completed_->value();
   stats.shed = shed_->value();
-  stats.expired = expired_->value();
   stats.batches = batches_->value();
   {
     MutexLock lock(&mu_);

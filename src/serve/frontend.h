@@ -10,7 +10,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "obs/metrics.h"
 #include "serve/request.h"
 #include "serve/router.h"
@@ -27,26 +26,20 @@ struct FrontendOptions {
   /// wait is shed immediately with kShedQueueFull (fail fast beats
   /// unbounded memory growth and ever-later answers under overload).
   int64_t max_queue = 1024;
-  /// Dispatcher lanes draining the queue concurrently.
-  int64_t num_dispatchers = 1;
-  /// Deadline applied to requests that do not carry their own
-  /// (Request::deadline_micros == 0); 0 disables the default.
-  int64_t default_deadline_micros = 0;
 };
 
 /// The async serving front end: producers Submit() requests and receive
-/// futures; dispatcher lanes drain the bounded queue, shed requests whose
-/// deadline passed while queued, coalesce the survivors into micro-batches,
-/// and push them through Router::HandleBatch (which dedups hot repeats and
-/// spreads work across each engine's pool).
+/// futures; one dispatcher thread drains the bounded queue in FIFO order,
+/// coalesces it into micro-batches, and pushes them through
+/// Router::HandleBatch (which dedups hot repeats and spreads work across
+/// each engine's pool).
 ///
-/// Every admitted request's future is eventually fulfilled — served,
-/// deadline-expired, or (at shutdown) kShutdown. None are silently
-/// dropped: the destructor stops admission, drains the queue through the
-/// dispatchers, and the dispatchers exit only once it is empty.
+/// Every admitted request's future is eventually fulfilled with its
+/// response. None are silently dropped: the destructor stops admission,
+/// and the dispatcher exits only once it has drained the queue.
 ///
 /// Obs instruments (labeled {frontend="<id>"}):
-/// serve_frontend_{submitted,completed,shed,expired,batches}_total,
+/// serve_frontend_{submitted,completed,shed,batches}_total,
 /// serve_frontend_batch_size (histogram), serve_frontend_queue_depth
 /// (gauge).
 class Frontend {
@@ -59,7 +52,7 @@ class Frontend {
   Frontend(Router* router, FrontendOptions options);
 
   /// Stops admission, then drains every queued request through the
-  /// dispatchers before returning.
+  /// dispatcher before returning.
   ~Frontend();
 
   Frontend(const Frontend&) = delete;
@@ -67,7 +60,7 @@ class Frontend {
 
   /// Enqueues `request` and returns the future answer. Sheds immediately
   /// (kShedQueueFull) when the queue is full, and after shutdown began
-  /// (kShutdown). The deadline clock starts now.
+  /// (kShutdown).
   std::future<Response> Submit(Request request) CGKGR_EXCLUDES(mu_);
 
   /// Point-in-time counters.
@@ -79,20 +72,12 @@ class Frontend {
   struct Pending {
     Request request;
     std::promise<Response> promise;
-    /// Started at admission; the deadline is measured against it.
-    WallTimer queued;
   };
 
-  /// One dispatcher lane: waits for work, pops up to max_batch entries,
-  /// expires overdue ones, serves the rest as one batch. Returns when
-  /// stop_ is set and the queue is empty.
+  /// The dispatcher: waits for work, pops up to max_batch entries and
+  /// serves them as one batch. Returns when stop_ is set and the queue is
+  /// empty.
   void DispatcherLoop() CGKGR_EXCLUDES(mu_);
-
-  /// The request's effective deadline in micros (0 = none).
-  int64_t EffectiveDeadline(const Request& request) const {
-    return request.deadline_micros > 0 ? request.deadline_micros
-                                       : options_.default_deadline_micros;
-  }
 
   Router* const router_;
   const FrontendOptions options_;
@@ -107,13 +92,12 @@ class Frontend {
   obs::Counter* submitted_ = nullptr;
   obs::Counter* completed_ = nullptr;
   obs::Counter* shed_ = nullptr;
-  obs::Counter* expired_ = nullptr;
   obs::Counter* batches_ = nullptr;
   obs::Histogram* batch_size_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
 
-  /// Dispatchers run as long-lived pool tasks; declared last so the pool
-  /// joins (draining the queue) before any other member is destroyed.
+  /// The dispatcher runs as a long-lived pool task; declared last so the
+  /// pool joins (draining the queue) before any other member is destroyed.
   std::unique_ptr<ThreadPool> pool_;
 };
 

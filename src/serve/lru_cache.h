@@ -28,8 +28,8 @@ class ShardedLruCache {
  public:
   /// `capacity` = total entries across shards (values < num_shards are
   /// raised so every shard can hold at least one entry). Use num_shards = 1
-  /// for deterministic global LRU order (tests); the serving engine defaults
-  /// to more shards for lock spreading.
+  /// for deterministic global LRU order (tests); the serving engine uses
+  /// Engine::kCacheShards = 8 for lock spreading.
   ///
   /// Optional telemetry hooks (both may be null): `eviction_counter` is
   /// incremented per evicted entry, `size_gauge` tracks resident entries.

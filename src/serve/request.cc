@@ -13,8 +13,6 @@ const char* ResponseStatusName(ResponseStatus status) {
       return "unknown_tenant";
     case ResponseStatus::kShedQueueFull:
       return "shed_queue_full";
-    case ResponseStatus::kDeadlineExpired:
-      return "deadline_expired";
     case ResponseStatus::kShutdown:
       return "shutdown";
   }

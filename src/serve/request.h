@@ -16,32 +16,17 @@ struct ScoredItem {
   bool operator==(const ScoredItem&) const = default;
 };
 
-/// Per-request override of the engine's seen-item filter.
-enum class SeenFilter : uint8_t {
-  kEngineDefault = 0,  ///< use EngineOptions::filter_seen
-  kFilter = 1,         ///< drop train-split items regardless of the default
-  kInclude = 2,        ///< rank the full catalog regardless of the default
-};
-
 /// The unified serving request: every entry point (Engine::Handle,
-/// Router::Handle, Frontend::Submit) speaks this one struct, so deadlines,
-/// tenant selection, and filter overrides compose across the stack instead
-/// of growing per-layer positional overloads.
+/// Router::Handle, Frontend::Submit) speaks this one struct. The engine
+/// ranks every item the user did not interact with in the train split.
 struct Request {
   /// User id in [0, num_users) of the serving snapshot.
   int64_t user = 0;
   /// Number of items requested; must be positive.
   int64_t k = 0;
-  /// Tenant (or A/B split alias) to route to. Empty selects the router's
-  /// default tenant; ignored when calling an Engine directly.
+  /// Tenant to route to. Empty selects the router's first tenant; ignored
+  /// when calling an Engine directly.
   std::string tenant;
-  /// Admission deadline in microseconds, measured from the moment the
-  /// request is enqueued (Frontend::Submit). 0 means no deadline. A request
-  /// still queued past its deadline is shed with kDeadlineExpired instead
-  /// of wasting compute on an answer nobody is waiting for.
-  int64_t deadline_micros = 0;
-  /// Seen-item filtering override for this request.
-  SeenFilter seen_filter = SeenFilter::kEngineDefault;
 };
 
 /// Terminal state of a Request.
@@ -53,23 +38,18 @@ enum class ResponseStatus : uint8_t {
   kUnknownTenant = 2,
   /// Admission queue was full; the request was never enqueued.
   kShedQueueFull = 3,
-  /// The request's deadline passed while it waited in the queue.
-  kDeadlineExpired = 4,
   /// The frontend was shut down before the request was dispatched.
-  kShutdown = 5,
+  kShutdown = 4,
 };
 
 /// Stable lowercase name for logs / labels.
 const char* ResponseStatusName(ResponseStatus status);
 
 /// The unified serving response. `items` is non-empty only for kOk;
-/// `tenant` and `generation` record which engine instance and snapshot
-/// generation actually served the request (for split aliases this is the
-/// resolved arm, not the alias).
+/// `generation` records the snapshot generation that served the request.
 struct Response {
   ResponseStatus status = ResponseStatus::kOk;
   std::vector<ScoredItem> items;
-  std::string tenant;
   uint64_t generation = 0;
 
   bool ok() const { return status == ResponseStatus::kOk; }

@@ -21,21 +21,6 @@ obs::Labels NextRouterLabels() {
                                   1, std::memory_order_relaxed)))}};
 }
 
-/// splitmix64 finalizer over the user id mixed with the alias hash: the
-/// assignment is a pure function of (alias, user), so arms are sticky.
-uint64_t SplitHash(const std::string& alias, int64_t user) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : alias) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
-  }
-  h ^= static_cast<uint64_t>(user) + 0x9E3779B97F4A7C15ULL;
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ULL;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBULL;
-  return h ^ (h >> 31);
-}
-
 }  // namespace
 
 Router::Router() : labels_(NextRouterLabels()) {
@@ -43,15 +28,6 @@ Router::Router() : labels_(NextRouterLabels()) {
   labels.push_back({"tenant", "<unknown>"});
   unknown_tenant_ = obs::MetricsRegistry::Default().GetCounter(
       "serve_router_unknown_tenant_total", labels);
-}
-
-bool Router::SplitPicksArmA(const std::string& alias, int64_t user,
-                            double fraction_a) {
-  // Map the hash to [0, 1) with 53-bit precision and compare against the
-  // fraction; exact 0.0 / 1.0 fractions degenerate to all-B / all-A.
-  const double unit =
-      static_cast<double>(SplitHash(alias, user) >> 11) * 0x1.0p-53;
-  return unit < fraction_a;
 }
 
 Status Router::AddTenant(const std::string& tenant,
@@ -68,86 +44,25 @@ Status Router::AddTenant(const std::string& tenant,
   obs::Counter* requests = obs::MetricsRegistry::Default().GetCounter(
       "serve_router_requests_total", labels);
   WriterMutexLock lock(&mu_);
-  if (engines_.count(tenant) != 0 || splits_.count(tenant) != 0) {
+  const auto [it, inserted] = tenants_.try_emplace(tenant);
+  if (!inserted) {
     return Status::AlreadyExists("Router::AddTenant: tenant \"" + tenant +
                                  "\" already hosted");
   }
-  engines_[tenant] = std::move(engine).value();
-  tenant_requests_[tenant] = requests;
-  if (default_tenant_.empty()) default_tenant_ = tenant;
+  it->second.engine = std::move(engine).value();
+  it->second.requests = requests;
+  if (first_ == nullptr) first_ = &it->second;
   return Status::OK();
 }
 
-Status Router::AddSplit(const std::string& alias, const std::string& arm_a,
-                        const std::string& arm_b, double fraction_a) {
-  if (alias.empty()) {
-    return Status::InvalidArgument("Router::AddSplit: empty alias");
-  }
-  if (!(fraction_a >= 0.0 && fraction_a <= 1.0)) {
-    return Status::InvalidArgument(
-        "Router::AddSplit: fraction_a must lie in [0, 1]");
-  }
-  WriterMutexLock lock(&mu_);
-  if (engines_.count(alias) != 0 || splits_.count(alias) != 0) {
-    return Status::AlreadyExists("Router::AddSplit: name \"" + alias +
-                                 "\" already hosted");
-  }
-  if (engines_.count(arm_a) == 0) {
-    return Status::NotFound("Router::AddSplit: arm \"" + arm_a +
-                            "\" is not a hosted tenant");
-  }
-  if (engines_.count(arm_b) == 0) {
-    return Status::NotFound("Router::AddSplit: arm \"" + arm_b +
-                            "\" is not a hosted tenant");
-  }
-  splits_[alias] = Split{arm_a, arm_b, fraction_a};
-  return Status::OK();
-}
-
-Status Router::SetDefaultTenant(const std::string& tenant) {
-  WriterMutexLock lock(&mu_);
-  if (engines_.count(tenant) == 0 && splits_.count(tenant) == 0) {
-    return Status::NotFound("Router::SetDefaultTenant: unknown tenant \"" +
-                            tenant + "\"");
-  }
-  default_tenant_ = tenant;
-  return Status::OK();
-}
-
-Engine* Router::Resolve(const Request& request, std::string* resolved) const {
-  const std::string& name =
-      request.tenant.empty() ? default_tenant_ : request.tenant;
-  std::string target = name;
-  const auto split = splits_.find(name);
-  if (split != splits_.end()) {
-    target = SplitPicksArmA(name, request.user, split->second.fraction_a)
-                 ? split->second.arm_a
-                 : split->second.arm_b;
-  }
-  const auto engine = engines_.find(target);
-  if (engine == engines_.end()) return nullptr;
-  *resolved = target;
-  return engine->second.get();
+const Router::Tenant* Router::Resolve(const std::string& name) const {
+  if (name.empty()) return first_;
+  const auto it = tenants_.find(name);
+  return it == tenants_.end() ? nullptr : &it->second;
 }
 
 Response Router::Handle(const Request& request) {
-  Engine* engine = nullptr;
-  std::string resolved;
-  {
-    ReaderMutexLock lock(&mu_);
-    engine = Resolve(request, &resolved);
-    if (engine != nullptr) tenant_requests_.at(resolved)->Increment();
-  }
-  if (engine == nullptr) {
-    unknown_tenant_->Increment();
-    Response response;
-    response.status = ResponseStatus::kUnknownTenant;
-    response.tenant = request.tenant;
-    return response;
-  }
-  Response response = engine->Handle(request);
-  response.tenant = resolved;
-  return response;
+  return HandleBatch({request}).front();
 }
 
 std::vector<Response> Router::HandleBatch(
@@ -155,20 +70,18 @@ std::vector<Response> Router::HandleBatch(
   // Resolve everything under one reader lock, grouping request indices per
   // engine so each engine sees one coalescing HandleBatch call.
   std::vector<Response> responses(requests.size());
-  std::vector<std::string> resolved(requests.size());
   std::map<Engine*, std::vector<size_t>> groups;
   {
     ReaderMutexLock lock(&mu_);
     for (size_t i = 0; i < requests.size(); ++i) {
-      Engine* engine = Resolve(requests[i], &resolved[i]);
-      if (engine == nullptr) {
+      const Tenant* tenant = Resolve(requests[i].tenant);
+      if (tenant == nullptr) {
         unknown_tenant_->Increment();
         responses[i].status = ResponseStatus::kUnknownTenant;
-        responses[i].tenant = requests[i].tenant;
         continue;
       }
-      tenant_requests_.at(resolved[i])->Increment();
-      groups[engine].push_back(i);
+      tenant->requests->Increment();
+      groups[tenant->engine.get()].push_back(i);
     }
   }
   for (const auto& [engine, indices] : groups) {
@@ -178,7 +91,6 @@ std::vector<Response> Router::HandleBatch(
     std::vector<Response> sub_responses = engine->HandleBatch(sub);
     for (size_t j = 0; j < indices.size(); ++j) {
       responses[indices[j]] = std::move(sub_responses[j]);
-      responses[indices[j]].tenant = resolved[indices[j]];
     }
   }
   return responses;
@@ -186,16 +98,8 @@ std::vector<Response> Router::HandleBatch(
 
 Engine* Router::GetEngine(const std::string& tenant) const {
   ReaderMutexLock lock(&mu_);
-  const auto it = engines_.find(tenant);
-  return it == engines_.end() ? nullptr : it->second.get();
-}
-
-std::vector<std::string> Router::TenantNames() const {
-  ReaderMutexLock lock(&mu_);
-  std::vector<std::string> names;
-  names.reserve(engines_.size());
-  for (const auto& [name, engine] : engines_) names.push_back(name);
-  return names;
+  const auto it = tenants_.find(tenant);
+  return it == tenants_.end() ? nullptr : it->second.engine.get();
 }
 
 }  // namespace serve

@@ -20,21 +20,16 @@ namespace serve {
 
 /// Hosts several Engine instances (model x version) behind the one
 /// Request/Response API. A request's `tenant` field selects the engine;
-/// the empty tenant resolves to the default (the first one added, unless
-/// SetDefaultTenant overrides it). A tenant name can also be a *split
-/// alias* (AddSplit): a deterministic per-user hash assigns each user to
-/// one of two real tenants, so A/B arms are sticky — the same user always
-/// lands on the same arm for a given alias, independent of request order
-/// or thread schedule.
+/// the empty tenant resolves to the first tenant added.
 ///
 /// Per-tenant request counts are published as
-/// serve_router_requests_total{tenant=...} (labeled with the *resolved*
-/// tenant, so split aliases show up as traffic on their arms).
+/// serve_router_requests_total{tenant=...}; requests naming a tenant the
+/// router does not host count in serve_router_unknown_tenant_total.
 ///
 /// Thread safety: Handle/HandleBatch may be called concurrently with each
-/// other and with engine reloads. AddTenant/AddSplit/SetDefaultTenant are
-/// serialized against serving by a reader/writer lock; configuring while
-/// traffic flows is safe, though typically done at startup.
+/// other and with engine reloads. AddTenant is serialized against serving
+/// by a reader/writer lock; adding tenants while traffic flows is safe,
+/// though typically done at startup.
 class Router {
  public:
   Router();
@@ -43,69 +38,46 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   /// Creates an Engine serving `snapshot` and hosts it as `tenant`. The
-  /// first tenant added becomes the default. Fails with AlreadyExists for
-  /// a duplicate name and propagates Engine::Create validation errors.
+  /// first tenant added serves requests with an empty tenant field. Fails
+  /// with AlreadyExists for a duplicate name and propagates Engine::Create
+  /// validation errors.
   Status AddTenant(const std::string& tenant,
                    std::shared_ptr<const Snapshot> snapshot,
                    const EngineOptions& options) CGKGR_EXCLUDES(mu_);
 
-  /// Registers `alias` as a deterministic hash split: a share of
-  /// `fraction_a` of users resolve to `arm_a`, the rest to `arm_b`. Both
-  /// arms must be existing real tenants; `fraction_a` must lie in [0, 1].
-  Status AddSplit(const std::string& alias, const std::string& arm_a,
-                  const std::string& arm_b, double fraction_a)
-      CGKGR_EXCLUDES(mu_);
-
-  /// Makes `tenant` (a real tenant or a split alias) the default for
-  /// requests with an empty tenant field.
-  Status SetDefaultTenant(const std::string& tenant) CGKGR_EXCLUDES(mu_);
-
-  /// Routes one request to its tenant's engine. Unknown tenants yield
-  /// kUnknownTenant; the response's `tenant` field records the resolved
-  /// serving tenant (the arm, for split aliases).
+  /// HandleBatch of the one request.
   Response Handle(const Request& request) CGKGR_EXCLUDES(mu_);
 
-  /// Routes a batch: requests are grouped per resolved engine, served via
+  /// Routes a batch: requests are grouped per tenant engine, served via
   /// each engine's coalescing HandleBatch, and scattered back in order.
+  /// Unknown tenants yield kUnknownTenant.
   std::vector<Response> HandleBatch(const std::vector<Request>& requests)
       CGKGR_EXCLUDES(mu_);
 
   /// The engine hosted for `tenant` (reload entry point), or nullptr for
-  /// unknown names and split aliases. The pointer stays valid for the
-  /// router's lifetime — engines are never removed.
+  /// unknown names. The pointer stays valid for the router's lifetime —
+  /// engines are never removed.
   Engine* GetEngine(const std::string& tenant) const CGKGR_EXCLUDES(mu_);
 
-  /// Real tenant names, ascending.
-  std::vector<std::string> TenantNames() const CGKGR_EXCLUDES(mu_);
-
-  /// The split arm `alias` resolves to for `user` — exposed so tests and
-  /// offline analysis can predict assignments.
-  static bool SplitPicksArmA(const std::string& alias, int64_t user,
-                             double fraction_a);
-
  private:
-  struct Split {
-    std::string arm_a;
-    std::string arm_b;
-    double fraction_a = 0.5;
+  struct Tenant {
+    std::unique_ptr<Engine> engine;
+    /// serve_router_requests_total{router, tenant}.
+    obs::Counter* requests = nullptr;
   };
 
-  /// Resolves a request's tenant field to (engine, resolved name); null
-  /// engine means unknown tenant. Caller must hold mu_ (reader).
-  Engine* Resolve(const Request& request, std::string* resolved) const
+  /// The tenant a request's `tenant` field names, or null when the router
+  /// does not host it. Caller must hold mu_ (reader).
+  const Tenant* Resolve(const std::string& name) const
       CGKGR_REQUIRES_SHARED(mu_);
 
   mutable SharedMutex mu_;
-  std::map<std::string, std::unique_ptr<Engine>> engines_
-      CGKGR_GUARDED_BY(mu_);
-  std::map<std::string, Split> splits_ CGKGR_GUARDED_BY(mu_);
-  std::string default_tenant_ CGKGR_GUARDED_BY(mu_);
+  std::map<std::string, Tenant> tenants_ CGKGR_GUARDED_BY(mu_);
+  /// The first tenant added; map nodes never move, so the pointer holds.
+  const Tenant* first_ CGKGR_GUARDED_BY(mu_) = nullptr;
   /// Per-router instrument labels ({router="<sequential id>"}), extended
   /// with {tenant=...} for the per-tenant counters.
   const obs::Labels labels_;
-  /// serve_router_requests_total{router, tenant}; created at AddTenant.
-  std::map<std::string, obs::Counter*> tenant_requests_
-      CGKGR_GUARDED_BY(mu_);
   /// Requests naming a tenant this router does not host.
   obs::Counter* unknown_tenant_ = nullptr;
 };

@@ -29,8 +29,8 @@ struct Snapshot {
   /// Row-major (num_users x num_items): scores[u * num_items + i] is the
   /// model's matching score y_hat(u, i).
   std::vector<float> scores;
-  /// Per-user sorted train-split item ids (candidates the engine filters
-  /// out when EngineOptions::filter_seen is set).
+  /// Per-user sorted train-split item ids (candidates the engine never
+  /// recommends).
   std::vector<std::vector<int64_t>> seen;
 
   /// The user's score vector (length num_items).

@@ -32,7 +32,6 @@ std::string FrontendStats::ToTable() const {
   table.AddRow({"submitted", StrFormat("%lld", (long long)submitted)});
   table.AddRow({"completed", StrFormat("%lld", (long long)completed)});
   table.AddRow({"shed", StrFormat("%lld", (long long)shed)});
-  table.AddRow({"expired", StrFormat("%lld", (long long)expired)});
   table.AddRow({"batches", StrFormat("%lld", (long long)batches)});
   table.AddRow({"queue peak", StrFormat("%lld", (long long)queue_peak)});
   table.AddRow({"shed fraction", StrFormat("%.2f%%", 100.0 * ShedFraction())});

@@ -16,7 +16,7 @@ struct EngineStats {
   /// Requests actually scored (cache misses + uncached computes); batch
   /// duplicates coalesced to one computation count once here.
   int64_t computes = 0;
-  /// Duplicate (user, k, filter) entries folded within HandleBatch calls.
+  /// Duplicate (user, k) entries folded within HandleBatch calls.
   int64_t batch_coalesced = 0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
@@ -51,8 +51,6 @@ struct FrontendStats {
   int64_t completed = 0;
   /// Requests rejected because the admission queue was full.
   int64_t shed = 0;
-  /// Requests whose deadline passed while they waited in the queue.
-  int64_t expired = 0;
   /// Micro-batches dispatched.
   int64_t batches = 0;
   /// High-water mark of the admission queue.
@@ -62,13 +60,6 @@ struct FrontendStats {
   double ShedFraction() const {
     return submitted == 0 ? 0.0
                           : static_cast<double>(shed) /
-                                static_cast<double>(submitted);
-  }
-
-  /// Fraction of submissions that expired in the queue.
-  double ExpiredFraction() const {
-    return submitted == 0 ? 0.0
-                          : static_cast<double>(expired) /
                                 static_cast<double>(submitted);
   }
 
