@@ -444,6 +444,10 @@ Status RunServeFrontendCase(const CaseSpec& spec, uint64_t seed,
                         obs::Json::Double(frontend_stats.ShedFraction()));
         row.metrics.Set("queue_peak",
                         obs::Json::Int(frontend_stats.queue_peak));
+        row.metrics.Set("queue_wait_p99_us",
+                        obs::Json::Double(frontend_stats.queue_wait_p99_us));
+        row.metrics.Set("wakeup_frac",
+                        obs::Json::Double(frontend_stats.WakeupFraction()));
         row.metrics.Set("served_ok", obs::Json::Int(served_ok));
         row.metrics.Set("all_served",
                         obs::Json::Int(all_served ? 1 : 0));

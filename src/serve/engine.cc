@@ -246,6 +246,7 @@ void Engine::InstallSnapshot(std::shared_ptr<const Snapshot> snapshot,
     snapshot_ = std::move(snapshot);
     digest_ = std::move(digest);
     loaded_file_ = std::move(file);
+    walked_file_ = loaded_file_;
   }
   // Explicit invalidation; the epoch bump above already guarantees
   // in-flight queries against the old snapshot cannot serve future hits.
@@ -293,6 +294,7 @@ Status Engine::ApplyDeltaInstall(const SnapshotDelta& delta,
     snapshot_ = std::move(next);
     digest_ = std::move(patched.digest);
     loaded_file_ = std::move(file);
+    walked_file_ = loaded_file_;
   }
   // No cache clear: entries for untouched users stay valid (their epoch is
   // unchanged); entries for patched users are unreachable under the bumped
@@ -312,35 +314,51 @@ Status Engine::ReloadFromDir(const std::string& dir) {
   if (!listed.ok()) return listed.status();
   const std::vector<std::string>& names = listed.value();
   std::string serving;
+  std::string walked;
   {
     ReaderMutexLock lock(&snapshot_mu_);
     serving = loaded_file_;
+    walked = walked_file_;
   }
 
   // Anchor the walk: everything at or before the serving artifact is
-  // already reflected in the engine's state.
+  // already reflected in the engine's state, and an earlier walk already
+  // examined everything up to `walked` on top of it.
   size_t begin = 0;
   bool have_base = false;
   if (!serving.empty()) {
     for (size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == serving) {
-        have_base = true;
+      if (names[i] == serving) have_base = true;
+      if (have_base && (names[i] == serving || names[i] == walked)) {
         begin = i + 1;
-        break;
       }
     }
   }
+
+  // Records `name` as examined, so later polls resume after it, unless an
+  // install since `seen` (a generation) changed the state it was examined
+  // against: a delta that lost the race with a concurrent reload is
+  // retried on the next poll.
+  const auto mark_examined = [this](const std::string& name, uint64_t seen) {
+    WriterMutexLock lock(&snapshot_mu_);
+    if (generation_ == seen) walked_file_ = name;
+  };
+  const auto skip = [&](const char* what, const std::string& name,
+                        uint64_t seen, const Status& why) {
+    CGKGR_LOG(Warning) << "ReloadFromDir: skipping " << what << " " << dir
+                       << "/" << name << ": " << why.ToString();
+    snapshot_reload_skipped_->Increment();
+    mark_examined(name, seen);
+  };
 
   // Loads and installs one full snapshot. A corrupt (half-written,
   // bit-flipped, truncated) snapshot must never take the engine down: it is
   // logged, counted and reported as not installed.
   const auto install = [&](const std::string& name) {
+    const uint64_t seen = generation();
     Result<Snapshot> snapshot = LoadSnapshot(dir + "/" + name);
     if (!snapshot.ok()) {
-      CGKGR_LOG(Warning) << "ReloadFromDir: skipping invalid snapshot "
-                         << dir << "/" << name << ": "
-                         << snapshot.status().ToString();
-      snapshot_reload_skipped_->Increment();
+      skip("invalid snapshot", name, seen, snapshot.status());
       return false;
     }
     InstallSnapshot(
@@ -367,22 +385,23 @@ Status Engine::ReloadFromDir(const std::string& dir) {
 
   // Forward-apply everything published after the anchor, in name order.
   for (size_t i = begin; i < names.size(); ++i) {
-    if (EndsWith(names[i], ".snap")) {
-      if (!deltas_only) install(names[i]);
+    const std::string& name = names[i];
+    if (EndsWith(name, ".snap")) {
+      if (deltas_only) {
+        mark_examined(name, generation());
+      } else {
+        install(name);
+      }
       continue;
     }
-    Result<SnapshotDelta> delta = LoadDelta(dir + "/" + names[i]);
-    Status applied = delta.ok() ? ApplyDeltaInstall(delta.value(), names[i])
-                                : delta.status();
-    if (!applied.ok()) {
-      // Corrupt file or a delta diffed against bits we are not serving
-      // (e.g. its base full snapshot was skipped as corrupt): skip it, a
-      // later full snapshot will resynchronize.
-      CGKGR_LOG(Warning) << "ReloadFromDir: skipping inapplicable delta "
-                         << dir << "/" << names[i] << ": "
-                         << applied.ToString();
-      snapshot_reload_skipped_->Increment();
-    }
+    const uint64_t seen = generation();
+    Result<SnapshotDelta> delta = LoadDelta(dir + "/" + name);
+    Status applied =
+        delta.ok() ? ApplyDeltaInstall(delta.value(), name) : delta.status();
+    // Corrupt file or a delta diffed against bits we are not serving
+    // (e.g. its base full snapshot was skipped as corrupt): skip it, a
+    // later full snapshot will resynchronize.
+    if (!applied.ok()) skip("inapplicable delta", name, seen, applied);
   }
   return Status::OK();
 }
@@ -407,6 +426,7 @@ EngineStats Engine::stats() const {
   stats.cache_evictions = cache_evictions_->value();
   stats.snapshot_reloads = snapshot_reloads_->value();
   stats.snapshot_delta_reloads = snapshot_delta_reloads_->value();
+  stats.snapshot_reload_skipped = snapshot_reload_skipped_->value();
   const obs::HistogramSnapshot latency = latency_->Snapshot();
   stats.p50_micros = latency.Percentile(0.50);
   stats.p95_micros = latency.Percentile(0.95);

@@ -103,9 +103,10 @@ class Engine {
   /// newest valid full snapshot is installed first and later deltas are
   /// chained on top. Corrupt or inapplicable artifacts are skipped with a
   /// logged warning and a serve_snapshot_reload_skipped_total bump, never
-  /// an abort. Returns OK when the engine ends up serving current state,
-  /// NotFound when the directory holds no valid snapshot. Safe concurrent
-  /// with serving.
+  /// an abort, and later polls resume after them; a delta refused only
+  /// because a concurrent reload swapped its base is retried. Returns OK
+  /// when the engine ends up serving current state, NotFound when the
+  /// directory holds no valid snapshot. Safe concurrent with serving.
   Status ReloadFromDir(const std::string& dir) CGKGR_EXCLUDES(snapshot_mu_);
 
   /// The currently served snapshot.
@@ -195,6 +196,10 @@ class Engine {
   /// ReloadFromDir; empty when it came from the constructor or a direct
   /// ReloadSnapshot call.
   std::string loaded_file_ CGKGR_GUARDED_BY(snapshot_mu_);
+  /// The last directory file a ReloadFromDir walk examined on top of the
+  /// served state, corrupt or inapplicable ones included; the next walk
+  /// resumes after it. Every install resets it to loaded_file_.
+  std::string walked_file_ CGKGR_GUARDED_BY(snapshot_mu_);
 
   // Registry instruments, labeled {engine="<sequential id>"} so every
   // Engine's counts stay separable (and serve_test's exact per-engine

@@ -10,6 +10,7 @@
 #include "common/mutex.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "obs/metrics.h"
 #include "serve/router.h"
 #include "serve/stats.h"
@@ -26,6 +27,16 @@ obs::Labels NextFrontendLabels() {
            StrFormat("%lld", static_cast<long long>(
                                  next_id.fetch_add(1,
                                                    std::memory_order_relaxed)))}};
+}
+
+/// Tells the core this is a spin-wait: `pause` on x86 eases the sibling
+/// hyperthread and the exit from the loop.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
 }
 
 }  // namespace
@@ -55,7 +66,10 @@ Frontend::Frontend(Router* router, FrontendOptions options)
   completed_ = registry.GetCounter("serve_frontend_completed_total", labels);
   shed_ = registry.GetCounter("serve_frontend_shed_total", labels);
   batches_ = registry.GetCounter("serve_frontend_batches_total", labels);
+  wakeups_ = registry.GetCounter("serve_frontend_wakeups_total", labels);
   batch_size_ = registry.GetHistogram("serve_frontend_batch_size", labels);
+  queue_wait_ =
+      registry.GetHistogram("serve_frontend_queue_wait_micros", labels);
   queue_depth_ = registry.GetGauge("serve_frontend_queue_depth", labels);
   // The dispatcher is a long-lived task, not a ParallelFor lane: the pool
   // needs one worker, and ThreadPool(n) spawns n-1 (a 1-lane pool would run
@@ -81,6 +95,7 @@ std::future<Response> Frontend::Submit(Request request) {
   std::future<Response> future = promise.get_future();
   submitted_->Increment();
   ResponseStatus rejected = ResponseStatus::kOk;
+  bool wake = false;
   {
     MutexLock lock(&mu_);
     if (stop_) {
@@ -94,11 +109,22 @@ std::future<Response> Frontend::Submit(Request request) {
       queue_.push_back(std::move(pending));
       queue_peak_ = std::max(queue_peak_,
                              static_cast<int64_t>(queue_.size()));
+      // One Submit wakes a parked dispatcher; later ones before it runs
+      // find parked_ clear and skip the notify.
+      wake = parked_;
+      parked_ = false;
     }
   }
   if (rejected == ResponseStatus::kOk) {
+    admitted_.fetch_add(1);
     queue_depth_->Add(1.0);
-    work_cv_.notify_one();
+    // No lost wake-up: the dispatcher set parked_ under mu_ and
+    // condition_variable_any holds its internal mutex while it releases
+    // mu_, so this notify cannot fall between its check and its wait.
+    if (wake) {
+      wakeups_->Increment();
+      work_cv_.notify_one();
+    }
     return future;
   }
   if (rejected == ResponseStatus::kShedQueueFull) shed_->Increment();
@@ -108,14 +134,39 @@ std::future<Response> Frontend::Submit(Request request) {
   return future;
 }
 
+void Frontend::SpinForWork(uint64_t dequeued) const {
+  // admitted_ may trail `dequeued` while a popped request's Submit has not
+  // bumped it yet; that is no new work.
+  const WallTimer spin;
+  while (admitted_.load() <= dequeued) {
+    if (spin.ElapsedMillis() * 1e3 >= kSpinMicros) return;
+    CpuRelax();
+  }
+}
+
 void Frontend::DispatcherLoop() {
+  uint64_t dequeued = 0;
+  // Spin only while requests arrive within kSpinMicros of the previous
+  // batch, as a synchronous caller's do. After a sparser arrival the spin
+  // would miss the next request anyway, and it holds the CPU that a woken
+  // dispatcher often shares with the submitter: an open loop at 2,500 qps
+  // over a 1440x3360 snapshot read a p50 ~10 us worse with it.
+  bool spin = true;
   for (;;) {
+    const WallTimer idle;
+    if (spin) SpinForWork(dequeued);
     std::vector<Pending> popped;
     {
       MutexLock lock(&mu_);
       // Explicit wait loop (not the predicate overload): clang's thread
       // safety analysis treats a predicate lambda as a lock-free context.
-      while (!stop_ && queue_.empty()) work_cv_.wait(mu_);
+      // parked_ is set under the same lock as the check, so a Submit that
+      // queues after the check sees it and notifies.
+      while (!stop_ && queue_.empty()) {
+        parked_ = true;
+        work_cv_.wait(mu_);
+      }
+      parked_ = false;
       if (queue_.empty()) return;  // stop_ set and nothing left to drain
       while (!queue_.empty() &&
              static_cast<int64_t>(popped.size()) < options_.max_batch) {
@@ -123,11 +174,16 @@ void Frontend::DispatcherLoop() {
         queue_.pop_front();
       }
     }
+    // The oldest popped request arrived its queue wait before now.
+    spin = idle.ElapsedMillis() - popped.front().admitted.ElapsedMillis() <=
+           kSpinMicros * 1e-3;
+    dequeued += popped.size();
     queue_depth_->Add(-static_cast<double>(popped.size()));
 
     std::vector<Request> batch;
     batch.reserve(popped.size());
     for (Pending& pending : popped) {
+      queue_wait_->Record(pending.admitted.ElapsedMillis() * 1e3);
       batch.push_back(std::move(pending.request));
     }
     std::vector<Response> responses = router_->HandleBatch(batch);
@@ -148,6 +204,10 @@ FrontendStats Frontend::stats() const {
   stats.completed = completed_->value();
   stats.shed = shed_->value();
   stats.batches = batches_->value();
+  stats.wakeups = wakeups_->value();
+  const obs::HistogramSnapshot queue_wait = queue_wait_->Snapshot();
+  stats.queue_wait_p50_us = queue_wait.Percentile(0.50);
+  stats.queue_wait_p99_us = queue_wait.Percentile(0.99);
   {
     MutexLock lock(&mu_);
     stats.queue_peak = queue_peak_;

@@ -21,6 +21,8 @@ std::string EngineStats::ToTable() const {
       {"snapshot reloads", StrFormat("%lld", (long long)snapshot_reloads)});
   table.AddRow({"delta reloads",
                 StrFormat("%lld", (long long)snapshot_delta_reloads)});
+  table.AddRow({"reload skips",
+                StrFormat("%lld", (long long)snapshot_reload_skipped)});
   table.AddRow({"p50 latency", StrFormat("%.0f us", p50_micros)});
   table.AddRow({"p95 latency", StrFormat("%.0f us", p95_micros)});
   table.AddRow({"p99 latency", StrFormat("%.0f us", p99_micros)});
@@ -35,6 +37,11 @@ std::string FrontendStats::ToTable() const {
   table.AddRow({"batches", StrFormat("%lld", (long long)batches)});
   table.AddRow({"queue peak", StrFormat("%lld", (long long)queue_peak)});
   table.AddRow({"shed fraction", StrFormat("%.2f%%", 100.0 * ShedFraction())});
+  table.AddRow({"wakeups", StrFormat("%lld", (long long)wakeups)});
+  table.AddRow(
+      {"wakeup fraction", StrFormat("%.2f%%", 100.0 * WakeupFraction())});
+  table.AddRow({"queue wait p50", StrFormat("%.0f us", queue_wait_p50_us)});
+  table.AddRow({"queue wait p99", StrFormat("%.0f us", queue_wait_p99_us)});
   return table.ToString();
 }
 

@@ -24,6 +24,8 @@ struct EngineStats {
   int64_t snapshot_reloads = 0;
   /// Delta patches applied (row-level invalidation reloads).
   int64_t snapshot_delta_reloads = 0;
+  /// Corrupt or inapplicable directory artifacts ReloadFromDir skipped.
+  int64_t snapshot_reload_skipped = 0;
   /// Latency percentiles from the engine's obs::Histogram: bucket upper
   /// bounds in microseconds, a <=2x overestimate.
   double p50_micros = 0.0;
@@ -55,11 +57,23 @@ struct FrontendStats {
   int64_t batches = 0;
   /// High-water mark of the admission queue.
   int64_t queue_peak = 0;
+  /// Submissions that had to wake a parked dispatcher.
+  int64_t wakeups = 0;
+  /// Admission-to-dispatch wait percentiles (serve_frontend_queue_wait_micros
+  /// bucket upper bounds in microseconds, a <=2x overestimate).
+  double queue_wait_p50_us = 0.0;
+  double queue_wait_p99_us = 0.0;
 
   /// Fraction of submissions shed at the door.
-  double ShedFraction() const {
+  double ShedFraction() const { return PerSubmitted(shed); }
+
+  /// Fraction of submissions that paid a dispatcher wake-up.
+  double WakeupFraction() const { return PerSubmitted(wakeups); }
+
+  /// `count` as a fraction of submissions.
+  double PerSubmitted(int64_t count) const {
     return submitted == 0 ? 0.0
-                          : static_cast<double>(shed) /
+                          : static_cast<double>(count) /
                                 static_cast<double>(submitted);
   }
 

@@ -582,9 +582,11 @@ TEST(EngineTest, ReloadFromDirServesNewestValidSnapshot) {
   EXPECT_EQ(engine.snapshot()->model_name, "second");
   EXPECT_EQ(engine.stats().snapshot_reloads, 1);
 
-  // Steady-state watch: nothing newer and valid, so no reload happens.
+  // Steady-state watch: nothing newer and valid, so no reload happens, and
+  // the torn file the cold start skipped is not read again.
   ASSERT_TRUE(engine.ReloadFromDir(dir).ok());
   EXPECT_EQ(engine.stats().snapshot_reloads, 1);
+  EXPECT_EQ(engine.stats().snapshot_reload_skipped, 1);
 
   // A newer valid snapshot appears: picked up on the next poll.
   publish("snap-004.snap", "fourth");
@@ -1163,6 +1165,51 @@ TEST(EngineTest, ReloadFromDirAppliesMixedSnapshotAndDeltaTimeline) {
   EXPECT_EQ(engine.stats().snapshot_delta_reloads, 2);
   EXPECT_EQ(SnapshotFingerprint(*engine.snapshot()),
             SnapshotFingerprint(target));
+}
+
+// A torn full snapshot, and a delta diffed against what it should have
+// held, are each read, warned about and counted once: later polls resume
+// after the last artifact examined, and the next valid full snapshot
+// resynchronizes.
+TEST(EngineTest, ReloadFromDirSkipsEachBadArtifactOnce) {
+  const std::string dir = ::testing::TempDir() + "/serve-torn-dir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  const Snapshot first = TinySnapshot();
+  ASSERT_TRUE(SaveSnapshot(first, dir + "/snap-000001.snap").ok());
+  Engine engine(std::make_shared<const Snapshot>(first), EngineOptions{});
+  ASSERT_TRUE(engine.ReloadFromDir(dir).ok());  // anchor on snap-000001
+  const uint64_t anchored = engine.generation();
+
+  const Snapshot second = TinySnapshotV2();
+  Snapshot third = second;
+  third.scores[0] = 7.5f;
+  const std::string torn = dir + "/snap-000002.snap";
+  ASSERT_TRUE(SaveSnapshot(second, torn).ok());
+  std::filesystem::resize_file(torn, std::filesystem::file_size(torn) / 2);
+  Result<SnapshotDelta> delta = BuildDelta(second, third);
+  ASSERT_TRUE(delta.ok());
+  ASSERT_TRUE(SaveDelta(delta.value(), dir + "/snap-000003.delta").ok());
+
+  ASSERT_TRUE(engine.ReloadFromDir(dir).ok());
+  ASSERT_TRUE(engine.ReloadFromDir(dir).ok());
+  EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.snapshot_reload_skipped, 2);
+  EXPECT_EQ(stats.snapshot_reloads, 1);
+  EXPECT_EQ(stats.snapshot_delta_reloads, 0);
+  EXPECT_EQ(engine.generation(), anchored);
+  EXPECT_EQ(SnapshotFingerprint(*engine.snapshot()),
+            SnapshotFingerprint(first));
+
+  ASSERT_TRUE(SaveSnapshot(third, dir + "/snap-000004.snap").ok());
+  ASSERT_TRUE(engine.ReloadFromDir(dir).ok());
+  stats = engine.stats();
+  EXPECT_EQ(stats.snapshot_reload_skipped, 2);
+  EXPECT_EQ(stats.snapshot_reloads, 2);
+  EXPECT_EQ(engine.generation(), anchored + 1);
+  EXPECT_EQ(SnapshotFingerprint(*engine.snapshot()),
+            SnapshotFingerprint(third));
 }
 
 // --- One scoring path for evaluation and serving ---
