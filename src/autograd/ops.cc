@@ -485,32 +485,21 @@ Variable RelationMatMul(const Variable& x, std::vector<int64_t> relations,
   auto rels = std::make_shared<std::vector<int64_t>>(std::move(relations));
   return MakeOpResult(
       "RelationMatMul", std::move(out), {x, matrices},
-      [rels, n, d](Node* node) {
+      [rels, n, d, num_relations](Node* node) {
         const NodePtr& nx = node->inputs[0];
         const NodePtr& nm = node->inputs[1];
         const float* g = node->grad.data();
         if (nx->requires_grad) {
-          float* xg = GradAccumulator(nx.get()).data();
-          for (int64_t r = 0; r < n; ++r) {
-            const int64_t rel = (*rels)[static_cast<size_t>(r)];
-            // dx_row += g_row * M[rel]^T.
-            tensor::Gemm(false, true, 1, d, d, 1.0f, g + r * d,
-                         nm->value.data() + rel * d * d, 1.0f, xg + r * d);
-          }
+          // dx_row += g_row * M[rel]^T.
+          tensor::RelationMatMulGradX(n, d, num_relations, g, rels->data(),
+                                      nm->value.data(),
+                                      GradAccumulator(nx.get()).data());
         }
         if (nm->requires_grad) {
-          const float* xv = nx->value.data();
-          float* matrices_grad = GradAccumulator(nm.get()).data();
-          for (int64_t r = 0; r < n; ++r) {
-            const int64_t rel = (*rels)[static_cast<size_t>(r)];
-            // dM[rel] += outer(x_row, g_row).
-            float* mg = matrices_grad + rel * d * d;
-            const float* xr = xv + r * d;
-            const float* gr = g + r * d;
-            for (int64_t i = 0; i < d; ++i) {
-              tensor::Axpy(d, xr[i], gr, mg + i * d);
-            }
-          }
+          // dM[rel] += outer(x_row, g_row).
+          tensor::RelationMatMulGradM(n, d, num_relations, nx->value.data(), g,
+                                      rels->data(),
+                                      GradAccumulator(nm.get()).data());
         }
       });
 }

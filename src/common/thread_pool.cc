@@ -176,7 +176,12 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
       state->done_cv.notify_one();
     });
   }
+  // The caller's chunks count as busy time like a helper's task; its
+  // completion wait below does not.
+  WallTimer caller_timer;
   state->RunChunks();
+  busy_micros_total_->Increment(
+      static_cast<int64_t>(caller_timer.ElapsedMillis() * 1e3));
   // `body` lives on the caller's stack: every helper must be done before we
   // return, even ones that found the range already exhausted. While waiting
   // we keep draining the queue — if every lane merely blocked here, nested

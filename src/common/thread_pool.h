@@ -94,6 +94,7 @@ class ThreadPool {
   obs::Gauge* queue_depth_;
   obs::Histogram* task_micros_;
   obs::Counter* tasks_total_;
+  /// Task time on the workers plus ParallelFor's chunk time on the caller.
   obs::Counter* busy_micros_total_;
   Mutex mu_;
   CondVar work_cv_;  // queue became non-empty / stopping

@@ -1,6 +1,8 @@
 #include "tensor/tensor_ops.h"
 
 #include <cmath>
+#include <numeric>
+#include <vector>
 
 #include "common/macros.h"
 #include "tensor/vec.h"
@@ -70,47 +72,13 @@ void GemmRowMajorB16(int64_t m, int64_t k, float alpha,
   }
 }
 
-// B column-major in memory (trans_b == true): rows of op(B) are columns of
-// the stored matrix, so instead of striding we block j by 4 and give each
-// output its own register accumulator; the kk loop then reads four
-// contiguous B rows. Accumulators are seeded from c_row (live data, not
-// zero) and run kk-ascending, matching the old kernel bit for bit.
-template <bool kTransA>
-void GemmColMajorB(int64_t m, int64_t n, int64_t k, float alpha,
-                   const float* __restrict a, const float* __restrict b,
-                   float* __restrict c) {
-  for (int64_t i = 0; i < m; ++i) {
-    float* __restrict c_row = c + i * n;
-    int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* __restrict b0 = b + (j + 0) * k;
-      const float* __restrict b1 = b + (j + 1) * k;
-      const float* __restrict b2 = b + (j + 2) * k;
-      const float* __restrict b3 = b + (j + 3) * k;
-      float acc0 = c_row[j + 0];
-      float acc1 = c_row[j + 1];
-      float acc2 = c_row[j + 2];
-      float acc3 = c_row[j + 3];
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float a_ik = alpha * (kTransA ? a[kk * m + i] : a[i * k + kk]);
-        acc0 += a_ik * b0[kk];
-        acc1 += a_ik * b1[kk];
-        acc2 += a_ik * b2[kk];
-        acc3 += a_ik * b3[kk];
-      }
-      c_row[j + 0] = acc0;
-      c_row[j + 1] = acc1;
-      c_row[j + 2] = acc2;
-      c_row[j + 3] = acc3;
-    }
-    for (; j < n; ++j) {
-      const float* __restrict bj = b + j * k;
-      float acc = c_row[j];
-      for (int64_t kk = 0; kk < k; ++kk) {
-        acc += (alpha * (kTransA ? a[kk * m + i] : a[i * k + kk])) * bj[kk];
-      }
-      c_row[j] = acc;
-    }
+// dst (cols, rows) = src (rows, cols) transposed. Gemm's transposed-B path
+// and the relation input gradient copy op(B) row-major with it, so both run
+// the row kernels above.
+void Transpose(int64_t rows, int64_t cols, const float* __restrict src,
+               float* __restrict dst) {
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
   }
 }
 
@@ -124,24 +92,24 @@ void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   } else if (beta != 1.0f) {
     ScaleInPlace(m * n, beta, c);
   }
-  if (!trans_b && n == 16) {
+  // A transposed B is copied row-major once per call: O(n k) next to the
+  // O(m n k) product, and every element keeps its seed and kk order.
+  std::vector<float> b_rows;
+  if (trans_b) {
+    b_rows.resize(static_cast<size_t>(k * n));
+    Transpose(n, k, b, b_rows.data());
+    b = b_rows.data();
+  }
+  if (n == 16) {
     if (!trans_a) {
       GemmRowMajorB16<false>(m, k, alpha, a, b, c);
     } else {
       GemmRowMajorB16<true>(m, k, alpha, a, b, c);
     }
-  } else if (!trans_b) {
-    if (!trans_a) {
-      GemmRowMajorB<false>(m, n, k, alpha, a, b, c);
-    } else {
-      GemmRowMajorB<true>(m, n, k, alpha, a, b, c);
-    }
+  } else if (!trans_a) {
+    GemmRowMajorB<false>(m, n, k, alpha, a, b, c);
   } else {
-    if (!trans_a) {
-      GemmColMajorB<false>(m, n, k, alpha, a, b, c);
-    } else {
-      GemmColMajorB<true>(m, n, k, alpha, a, b, c);
-    }
+    GemmRowMajorB<true>(m, n, k, alpha, a, b, c);
   }
 }
 
@@ -149,7 +117,7 @@ namespace {
 
 // out = x * M for one length-d row and one (d, d) matrix: a 1 x d x d Gemm
 // with a zero seed, run on Gemm's row kernels without its dispatch. The one
-// row kernel behind both relation kernels; d == 16 keeps the row in
+// row kernel behind both forward relation kernels; d == 16 keeps the row in
 // registers.
 inline void RelationRow(int64_t d, const float* __restrict x,
                         const float* __restrict m, float* __restrict out) {
@@ -204,6 +172,84 @@ void GroupedRelationRowDot(int64_t groups, int64_t group, int64_t d,
       }
       const int64_t c = g * group + i;
       out[c] = Dot(d, product, y + c * d);
+    }
+  }
+}
+
+void RelationMatMulGradX(int64_t n, int64_t d, int64_t num_relations,
+                         const float* __restrict g,
+                         const int64_t* __restrict rel,
+                         const float* __restrict matrices,
+                         float* __restrict xg) {
+  // Row kk of M[q]^T is column kk of M[q]: one transpose per relation per
+  // call, then each row is a 1 x d x d product on Gemm's row kernels.
+  std::vector<float> transposed(static_cast<size_t>(num_relations * d * d));
+  for (int64_t q = 0; q < num_relations; ++q) {
+    Transpose(d, d, matrices + q * d * d, transposed.data() + q * d * d);
+  }
+  for (int64_t r = 0; r < n; ++r) {
+    CheckRelation(rel[r], num_relations);
+    const float* __restrict mt = transposed.data() + rel[r] * d * d;
+    if (d == 16) {
+      GemmRowMajorB16<false>(1, 16, 1.0f, g + r * 16, mt, xg + r * 16);
+    } else {
+      GemmRowMajorB<false>(1, d, d, 1.0f, g + r * d, mt, xg + r * d);
+    }
+  }
+}
+
+void RelationMatMulGradM(int64_t n, int64_t d, int64_t num_relations,
+                         const float* __restrict x, const float* __restrict g,
+                         const int64_t* __restrict rel,
+                         float* __restrict mg) {
+  // Stable counting sort: the rows of relation q are
+  // order[begin[q], begin[q + 1]) in ascending r.
+  std::vector<int64_t> begin(static_cast<size_t>(num_relations + 1), 0);
+  for (int64_t r = 0; r < n; ++r) {
+    CheckRelation(rel[r], num_relations);
+    ++begin[static_cast<size_t>(rel[r] + 1)];
+  }
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  std::vector<int64_t> next(begin.begin(), begin.end() - 1);
+  std::vector<int64_t> order(static_cast<size_t>(n));
+  for (int64_t r = 0; r < n; ++r) {
+    order[static_cast<size_t>(next[static_cast<size_t>(rel[r])]++)] = r;
+  }
+  for (int64_t q = 0; q < num_relations; ++q) {
+    const int64_t first = begin[static_cast<size_t>(q)];
+    const int64_t count = begin[static_cast<size_t>(q + 1)] - first;
+    if (count == 0) continue;
+    const int64_t* __restrict rows = order.data() + first;
+    float* __restrict m = mg + q * d * d;
+    if (d == 16) {
+      // Matrix row i stays in four registers over the relation's rows.
+      for (int64_t i = 0; i < 16; ++i) {
+        float* __restrict m_row = m + i * 16;
+        V4f acc0 = LoadV4f(m_row);
+        V4f acc1 = LoadV4f(m_row + 4);
+        V4f acc2 = LoadV4f(m_row + 8);
+        V4f acc3 = LoadV4f(m_row + 12);
+        for (int64_t t = 0; t < count; ++t) {
+          const int64_t r = rows[t];
+          const V4f x_ri = BroadcastV4f(x[r * 16 + i]);
+          const float* __restrict g_r = g + r * 16;
+          acc0 += x_ri * LoadV4f(g_r);
+          acc1 += x_ri * LoadV4f(g_r + 4);
+          acc2 += x_ri * LoadV4f(g_r + 8);
+          acc3 += x_ri * LoadV4f(g_r + 12);
+        }
+        StoreV4f(m_row, acc0);
+        StoreV4f(m_row + 4, acc1);
+        StoreV4f(m_row + 8, acc2);
+        StoreV4f(m_row + 12, acc3);
+      }
+    } else {
+      for (int64_t i = 0; i < d; ++i) {
+        for (int64_t t = 0; t < count; ++t) {
+          const int64_t r = rows[t];
+          Axpy(d, x[r * d + i], g + r * d, m + i * d);
+        }
+      }
     }
   }
 }

@@ -24,8 +24,8 @@ namespace tensor {
 /// accumulates with a fixed kk-ascending association, so results are
 /// bit-identical for any blocking and any thread count. IEEE special values
 /// propagate: 0 * inf and 0 * nan contribute NaN rather than being skipped.
-/// With trans_b unset and n == 16, each C row stays in registers for the
-/// whole kk sweep (same association).
+/// With trans_b set, B is copied row-major once per call. With n == 16, each
+/// C row stays in registers for the whole kk sweep (same association).
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c);
 
@@ -52,6 +52,30 @@ void GroupedRelationRowDot(int64_t groups, int64_t group, int64_t d,
                            const float* __restrict matrices,
                            const float* __restrict y,
                            float* __restrict scratch, float* __restrict out);
+
+/// RelationMatMul's input gradient: xg row r += g row r * M[rel[r]]^T, for
+/// g and xg (n, d). Each element starts from its running xg value and adds
+/// g_kk * M[rel]_j,kk kk-ascending: the bits of a 1 x d x d
+/// Gemm(false, true, ..., beta = 1) per row. Each relation matrix is
+/// transposed once per call; d == 16 keeps the row in registers. Every
+/// relation id is CHECKed against [0, num_relations).
+void RelationMatMulGradX(int64_t n, int64_t d, int64_t num_relations,
+                         const float* __restrict g,
+                         const int64_t* __restrict rel,
+                         const float* __restrict matrices,
+                         float* __restrict xg);
+
+/// RelationMatMul's matrix gradient: dM[rel[r]] += outer(x row r, g row r)
+/// for x and g (n, d) and the (num_relations, d, d) stack mg. Each element
+/// starts from its running value and adds x_r[i] * g_r[j] over the rows of
+/// its relation in ascending r: the bits of one Axpy per row and matrix row.
+/// Rows are bucketed by relation with a stable counting sort; d == 16 keeps
+/// each matrix row in registers over its relation's rows. Every relation id
+/// is CHECKed against [0, num_relations).
+void RelationMatMulGradM(int64_t n, int64_t d, int64_t num_relations,
+                         const float* __restrict x, const float* __restrict g,
+                         const int64_t* __restrict rel,
+                         float* __restrict mg);
 
 /// y += alpha * x over n elements.
 void Axpy(int64_t n, float alpha, const float* __restrict x,

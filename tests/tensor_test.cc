@@ -395,6 +395,41 @@ TEST(KernelTest, GemmBitIdenticalToReferenceAtBoundarySizes) {
       }
     }
   }
+  // Non-square shapes: n = 16 takes the register row, other n the row
+  // loop, and n < 4 is all tail. A transposed B is copied row-major first.
+  struct Shape {
+    int64_t m, n, k;
+  };
+  for (const Shape shape : {Shape{3, 16, 7}, Shape{1, 16, 16}, Shape{9, 16, 1},
+                            Shape{5, 2, 9}, Shape{4, 3, 17}, Shape{2, 1, 5},
+                            Shape{7, 17, 16}, Shape{1, 33, 3},
+                            Shape{65, 5, 8}}) {
+    const auto [m, n, k] = shape;
+    for (const bool trans_a : {false, true}) {
+      for (const bool trans_b : {false, true}) {
+        for (const float alpha : {1.0f, -0.75f}) {
+          for (const float beta : {0.0f, 1.0f, 0.5f}) {
+            const uint64_t seed =
+                static_cast<uint64_t>(m * 10000 + n * 100 + k);
+            Tensor a = RandomFilled(m * k, seed);
+            Tensor b = RandomFilled(k * n, seed + 1);
+            Tensor c = RandomFilled(m * n, seed + 2);
+            Tensor expected = c.Clone();
+            ReferenceGemm(trans_a, trans_b, m, n, k, alpha, a.data(), b.data(),
+                          beta, expected.data());
+            Gemm(trans_a, trans_b, m, n, k, alpha, a.data(), b.data(), beta,
+                 c.data());
+            for (int64_t i = 0; i < m * n; ++i) {
+              ASSERT_EQ(c[i], expected[i])
+                  << "m=" << m << " n=" << n << " k=" << k << " ta=" << trans_a
+                  << " tb=" << trans_b << " alpha=" << alpha
+                  << " beta=" << beta << " i=" << i;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 /// Bitwise equality: tells -0 from +0 and compares NaN payloads.
@@ -403,39 +438,52 @@ bool SameFloat(float actual, float expected) {
 }
 
 TEST(KernelTest, GemmN16BitIdenticalToReferenceWithSpecialValues) {
-  // n == 16 keeps each C row in registers; every element must still be the
-  // scalar loop's beta-scaled seed plus kk-ascending products.
+  // n == 16 keeps each C row in registers, and a transposed B is copied
+  // row-major before the same row kernels run; every element must still be
+  // the scalar loop's beta-scaled seed plus kk-ascending products. Widths
+  // other than 16, down to all-tail n < 4, run the row loop.
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  const int64_t n = 16;
-  for (const int64_t m : {1, 3, 16}) {
-    for (const int64_t k : {1, 7, 16, 33}) {
-      for (const bool trans_a : {false, true}) {
-        for (const float beta : {0.0f, 1.0f, 0.5f}) {
-          const uint64_t seed = static_cast<uint64_t>(m * 1000 + k);
-          Tensor a = RandomFilled(m * k, seed);
-          Tensor b = RandomFilled(k * n, seed + 1);
-          Tensor c = RandomFilled(m * n, seed + 2);
-          // A zero of A meets an inf of B (0 * inf is NaN), a NaN and a
-          // -0 ride along, and C seeds with specials of its own.
-          a[0] = 0.0f;
-          b[3] = inf;
-          b[(k - 1) * n + 5] = nan;
-          a[m * k - 1] = -0.0f;
-          c[m * n - 1] = -inf;
-          c[2] = -0.0f;
-          Tensor expected = c.Clone();
-          ReferenceGemm(trans_a, false, m, n, k, -1.25f, a.data(), b.data(),
-                        beta, expected.data());
-          Gemm(trans_a, false, m, n, k, -1.25f, a.data(), b.data(), beta,
-               c.data());
-          for (int64_t i = 0; i < m * n; ++i) {
-            ASSERT_TRUE(SameFloat(c[i], expected[i]))
-                << "m=" << m << " k=" << k << " ta=" << trans_a
-                << " beta=" << beta << " i=" << i << ": " << c[i] << " vs "
-                << expected[i];
+  for (const int64_t n : {16, 17, 5, 3, 1}) {
+    for (const int64_t m : {1, 3, 16}) {
+      for (const int64_t k : {1, 7, 16, 33}) {
+        for (const bool trans_a : {false, true}) {
+          for (const bool trans_b : {false, true}) {
+            for (const float beta : {0.0f, 1.0f, 0.5f}) {
+              const uint64_t seed =
+                  static_cast<uint64_t>(n * 100000 + m * 1000 + k);
+              Tensor a = RandomFilled(m * k, seed);
+              Tensor b = RandomFilled(k * n, seed + 1);
+              Tensor c = RandomFilled(m * n, seed + 2);
+              // op(B)[kk][j] in B's storage order.
+              auto b_at = [&](int64_t kk, int64_t j) -> float& {
+                return trans_b ? b[j * k + kk] : b[kk * n + j];
+              };
+              // A zero of A meets an inf of B (0 * inf is NaN), a NaN and a
+              // -0 ride along, and C seeds with specials of its own.
+              const int64_t inf_col = std::min<int64_t>(3, n - 1);
+              a[0] = 0.0f;
+              b_at(0, inf_col) = inf;
+              b_at(k - 1, std::min<int64_t>(5, n - 1)) = nan;
+              a[m * k - 1] = -0.0f;
+              c[m * n - 1] = -inf;
+              c[std::min<int64_t>(2, m * n - 1)] = -0.0f;
+              Tensor expected = c.Clone();
+              ReferenceGemm(trans_a, trans_b, m, n, k, -1.25f, a.data(),
+                            b.data(), beta, expected.data());
+              Gemm(trans_a, trans_b, m, n, k, -1.25f, a.data(), b.data(),
+                   beta, c.data());
+              for (int64_t i = 0; i < m * n; ++i) {
+                ASSERT_TRUE(SameFloat(c[i], expected[i]))
+                    << "n=" << n << " m=" << m << " k=" << k
+                    << " ta=" << trans_a << " tb=" << trans_b
+                    << " beta=" << beta << " i=" << i << ": " << c[i]
+                    << " vs " << expected[i];
+              }
+              EXPECT_TRUE(std::isnan(c[inf_col]))
+                  << "0 * inf must contribute NaN";
+            }
           }
-          EXPECT_TRUE(std::isnan(c[3])) << "0 * inf must contribute NaN";
         }
       }
     }
@@ -463,6 +511,94 @@ TEST(KernelTest, RelationMatMulRowsAreOneByDGemms) {
       for (int64_t j = 0; j < d; ++j) {
         ASSERT_TRUE(SameFloat(out[r * d + j], expected[static_cast<size_t>(j)]))
             << "d=" << d << " r=" << r << " j=" << j;
+      }
+    }
+  }
+}
+
+TEST(KernelTest, RelationMatMulGradKernelsBitIdenticalToPerRowLoops) {
+  // The references are the loops RelationMatMul's backward ran before the
+  // whole-op kernels: per row, one 1 x d x d transposed-B product into dx
+  // and d Axpy calls into dM[rel]. Both gradient buffers are live on entry.
+  // Where two NaNs meet in one sum, IEEE 754 leaves open whose payload
+  // survives, and the compiler may order a commutative add either way, so
+  // a NaN matches any NaN; every other value, -0 included, matches bitwise.
+  auto same = [](float actual, float expected) {
+    return (std::isnan(actual) && std::isnan(expected)) ||
+           SameFloat(actual, expected);
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  enum class Pattern { kAllEqual, kAllDistinct, kRandom };
+  for (const int64_t d : {1, 3, 8, 16, 17, 33}) {
+    for (const int64_t n : {0, 1, 512}) {
+      for (const Pattern pattern :
+           {Pattern::kAllEqual, Pattern::kAllDistinct, Pattern::kRandom}) {
+        for (const bool specials : {false, true}) {
+          const int64_t num_relations =
+              pattern == Pattern::kAllDistinct ? std::max<int64_t>(n, 1) : 13;
+          const uint64_t seed = static_cast<uint64_t>(
+              d * 10000 + n * 10 + static_cast<int64_t>(pattern));
+          std::vector<int64_t> rel(static_cast<size_t>(n));
+          Rng rng(seed);
+          for (int64_t r = 0; r < n; ++r) {
+            int64_t q = 4;
+            if (pattern == Pattern::kAllDistinct) q = r;
+            if (pattern == Pattern::kRandom) {
+              q = static_cast<int64_t>(rng.UniformInt(
+                  static_cast<uint64_t>(num_relations)));
+            }
+            rel[static_cast<size_t>(r)] = q;
+          }
+          Tensor x = RandomFilled(n * d, seed + 1);
+          Tensor g = RandomFilled(n * d, seed + 2);
+          Tensor matrices = RandomFilled(num_relations * d * d, seed + 3);
+          Tensor xg = RandomFilled(n * d, seed + 4);
+          Tensor mg = RandomFilled(num_relations * d * d, seed + 5);
+          if (specials && n > 0) {
+            // -0 in a live gradient, inf meeting a zero (NaN), a NaN and a
+            // -inf in the inputs, each in its own column.
+            const int64_t last = n * d - 1;
+            xg[0] = -0.0f;
+            mg[0] = -0.0f;
+            g[0] = 0.0f;
+            matrices[rel[0] * d * d] = inf;
+            x[0] = inf;
+            g[last] = nan;
+            x[last] = -inf;
+            matrices[rel[static_cast<size_t>(n - 1)] * d * d + d * d - 1] = nan;
+          }
+          Tensor xg_expected = xg.Clone();
+          Tensor mg_expected = mg.Clone();
+          for (int64_t r = 0; r < n; ++r) {
+            const int64_t q = rel[static_cast<size_t>(r)];
+            ReferenceGemm(false, true, 1, d, d, 1.0f, g.data() + r * d,
+                          matrices.data() + q * d * d, 1.0f,
+                          xg_expected.data() + r * d);
+            for (int64_t i = 0; i < d; ++i) {
+              Axpy(d, x[r * d + i], g.data() + r * d,
+                   mg_expected.data() + q * d * d + i * d);
+            }
+          }
+          RelationMatMulGradX(n, d, num_relations, g.data(), rel.data(),
+                              matrices.data(), xg.data());
+          RelationMatMulGradM(n, d, num_relations, x.data(), g.data(),
+                              rel.data(), mg.data());
+          for (int64_t i = 0; i < n * d; ++i) {
+            ASSERT_TRUE(same(xg[i], xg_expected[i]))
+                << "dX d=" << d << " n=" << n
+                << " pattern=" << static_cast<int>(pattern)
+                << " specials=" << specials << " i=" << i << ": " << xg[i]
+                << " vs " << xg_expected[i];
+          }
+          for (int64_t i = 0; i < num_relations * d * d; ++i) {
+            ASSERT_TRUE(same(mg[i], mg_expected[i]))
+                << "dM d=" << d << " n=" << n
+                << " pattern=" << static_cast<int>(pattern)
+                << " specials=" << specials << " i=" << i << ": " << mg[i]
+                << " vs " << mg_expected[i];
+          }
+        }
       }
     }
   }

@@ -1,15 +1,18 @@
 // Tests for common/thread_pool: exactly-once ParallelFor coverage under
-// concurrency, inline single-lane behaviour, Submit/WaitIdle draining, and
-// nested use.
+// concurrency, inline single-lane behaviour, Submit/WaitIdle draining,
+// nested use, and the busy-time counter.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 
 namespace cgkgr {
 namespace {
@@ -102,6 +105,33 @@ TEST(ThreadPoolTest, NestedParallelForMakesProgress) {
     pool.ParallelForEach(0, 16, 4, [&](int64_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 8 * 16);
+}
+
+TEST(ThreadPoolTest, BusyCounterMetersTheCallersChunksToo) {
+  // threadpool_busy_micros_total counts chunk time on every lane, the
+  // calling thread's included, so two 20 ms chunks on two lanes add about
+  // two chunk-times wherever each chunk runs.
+  static constexpr int64_t kChunkMicros = 20000;
+  ThreadPool pool(2, "busy_test");
+  obs::Counter* busy = obs::MetricsRegistry::Default().GetCounter(
+      "threadpool_busy_micros_total", {{"pool", "busy_test"}});
+  const int64_t before = busy->value();
+  pool.ParallelFor(0, 2, /*grain=*/1, [](int64_t, int64_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(kChunkMicros));
+  });
+  // A helper's task records its time after ParallelFor may have returned.
+  pool.WaitIdle();
+  EXPECT_GE(busy->value() - before, kChunkMicros * 18 / 10);
+}
+
+TEST(ThreadPoolTest, InlinePoolLeavesBusyCounterAlone) {
+  ThreadPool pool(1, "busy_inline_test");
+  obs::Counter* busy = obs::MetricsRegistry::Default().GetCounter(
+      "threadpool_busy_micros_total", {{"pool", "busy_inline_test"}});
+  pool.ParallelFor(0, 4, /*grain=*/1, [](int64_t, int64_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  EXPECT_EQ(busy->value(), 0);
 }
 
 }  // namespace

@@ -21,6 +21,8 @@
 #include "nn/adam.h"
 #include "nn/embedding.h"
 #include "nn/parameter.h"
+#include "serve/delta.h"
+#include "serve/snapshot.h"
 
 namespace cgkgr {
 namespace models {
@@ -207,6 +209,46 @@ TEST(ParallelTrainerTest, BitIdenticalAcrossThreadCountsForModelZoo) {
         EXPECT_EQ(scores[i], serial_scores[i])
             << name << " threads=" << threads << " score " << i;
       }
+    }
+  }
+}
+
+TEST(ParallelTrainerTest, BaselineTrainingBitsArePinnedAtOneAndTwoLanes) {
+  // Every score of a one-epoch fit, pinned across commits at one and two
+  // lanes: a kernel or autograd change that moves a baseline's training bits
+  // fails here. The zoo test above compares lane counts within one build,
+  // and serve_test pins width-8 fits on one lane; width 16 runs the
+  // register-resident Gemm and relation kernels.
+  const std::map<std::string, uint64_t> kFingerprints = {
+      {"BPRMF", 5170773494306403824ULL},
+      {"NFM", 16601428187489100331ULL},
+      {"CKE", 11837491169828892692ULL},
+      {"RippleNet", 9049183272254346052ULL},
+      {"KGCN", 18280504040186046315ULL},
+      {"KGNN-LS", 11444092182546149267ULL},
+      {"KGAT", 7069208022568037521ULL},
+      {"CKAN", 9118961005886001326ULL}};
+  const data::Dataset d = SmallDataset();
+  data::PresetHyperParams hparams;
+  hparams.embedding_dim = 16;
+  hparams.depth = 2;
+  hparams.user_sample_size = 4;
+  hparams.item_sample_size = 3;
+  hparams.kg_sample_size = 3;
+  hparams.num_heads = 2;
+  for (const auto& [name, fingerprint] : kFingerprints) {
+    for (const int64_t threads : {1, 2}) {
+      auto model = CreateModel(name, hparams);
+      TrainOptions options;
+      options.max_epochs = 1;
+      options.patience = 1;
+      options.batch_size = 48;
+      options.seed = 23;
+      options.num_threads = threads;
+      ASSERT_TRUE(model->Fit(d, options).ok()) << name;
+      const serve::Snapshot snapshot = serve::BuildSnapshot(model.get(), d);
+      EXPECT_EQ(serve::SnapshotFingerprint(snapshot), fingerprint)
+          << name << " threads=" << threads;
     }
   }
 }
