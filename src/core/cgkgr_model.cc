@@ -1,11 +1,14 @@
 #include "core/cgkgr_model.h"
 
 #include <algorithm>
+#include <atomic>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "autograd/ops.h"
 #include "common/macros.h"
+#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "models/trainer_util.h"
 #include "obs/trace.h"
@@ -19,12 +22,38 @@ using autograd::Variable;
 
 /// Rows per ScoreChunk forward task. Like ParallelTrainer's kShardRows it
 /// never depends on the lane count, so the slice plan is the same at every
-/// num_threads; 64 rows keep a forward long enough to amortize dispatch
+/// num_threads; 64 rows keep a forward long enough to amortize a claim
 /// while a 1,024-pair chunk still yields 16 tasks per pass.
 constexpr int64_t kSliceRows = 64;
 
+/// How many of a chunk's inference passes have been drawn. The drawing lane
+/// publishes each pass once its sample is complete; a lane that claims a
+/// slice of a later pass waits for it.
+class DrawnPasses {
+ public:
+  explicit DrawnPasses(int64_t drawn) : drawn_(drawn) {}
+
+  void Publish(int64_t drawn) CGKGR_EXCLUDES(mu_) {
+    {
+      MutexLock lock(&mu_);
+      drawn_ = drawn;
+    }
+    cv_.notify_all();
+  }
+
+  void WaitUntilDrawn(int64_t pass) CGKGR_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    while (drawn_ <= pass) cv_.wait(mu_);
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  int64_t drawn_ CGKGR_GUARDED_BY(mu_);
+};
+
 /// `buffer` with room for at least `size` floats. Scratch only grows, so a
-/// task's buffers settle after its first slice.
+/// lane's buffers settle after its first slice.
 float* Grow(std::vector<float>* buffer, int64_t size) {
   if (static_cast<int64_t>(buffer->size()) < size) {
     buffer->resize(static_cast<size_t>(size));
@@ -68,6 +97,16 @@ struct CgKgrModel::ScoreScratch {
   std::vector<std::vector<float>> hops;  // hop l: (rows * K^l, d)
 };
 
+struct CgKgrModel::ScoreLanes {
+  explicit ScoreLanes(int64_t lanes)
+      : pool(lanes, "score"),
+        scratch(static_cast<size_t>(pool.num_threads())) {}
+
+  ThreadPool pool;
+  /// scratch[lane] belongs to the lane's claim loop in ScoreChunk.
+  std::vector<ScoreScratch> scratch;
+};
+
 CgKgrModel::CgKgrModel(CgKgrConfig config, std::string name)
     : RecommenderModel(config.learning_rate, config.l2,
                        0x7777777777777777ULL),
@@ -78,9 +117,35 @@ CgKgrModel::CgKgrModel(CgKgrConfig config, std::string name)
   CGKGR_CHECK(config_.num_heads > 0);
 }
 
+// Out of line: ScoreLanes is complete only here.
+CgKgrModel::~CgKgrModel() = default;
+
 Status CgKgrModel::Build(const data::Dataset& dataset, uint64_t seed) {
   if (dataset.num_users <= 0 || dataset.num_items <= 0) {
     return Status::InvalidArgument("empty dataset");
+  }
+  if (config_.inference_samples < 1) {
+    return Status::InvalidArgument(
+        "inference_samples must be >= 1, got " +
+        std::to_string(config_.inference_samples));
+  }
+  // The samplers draw at least one neighbor per node; a stage that is
+  // switched off never samples, so its size is not checked.
+  const std::pair<const char*, int64_t> sample_sizes[] = {
+      {"user_sample_size", config_.use_interactive_summarization
+                               ? config_.user_sample_size
+                               : 1},
+      {"item_sample_size", config_.use_interactive_summarization
+                               ? config_.item_sample_size
+                               : 1},
+      {"kg_sample_size", config_.depth >= 1 ? config_.kg_sample_size : 1}};
+  for (const auto& [field, size] : sample_sizes) {
+    if (size < 1) {
+      return Status::InvalidArgument(std::string(field) +
+                                     " must be >= 1 for a stage that is "
+                                     "switched on, got " +
+                                     std::to_string(size));
+    }
   }
   train_graph_ = std::make_unique<graph::InteractionGraph>(
       dataset.BuildTrainGraph());
@@ -348,10 +413,7 @@ void CgKgrModel::InteractiveAttentionPoolRows(int64_t n,
   for (size_t h = 0; h < interact_heads_.size(); ++h) {
     tensor::Gemm(false, false, n, d, d, 1.0f, centers,
                  interact_heads_[h].value().data(), 0.0f, transformed);
-    for (int64_t c = 0; c < children; ++c) {
-      logits[c] = tensor::Dot(d, transformed + c / segment * d,
-                              neighbors + c * d);
-    }
+    tensor::SegmentRowDot(n, segment, d, transformed, neighbors, logits);
     tensor::SegmentSoftmax(n, segment, logits, weights);
     tensor::SegmentWeightedSum(n, segment, d, neighbors, weights,
                                h == 0 ? pooled : head_pooled);
@@ -534,38 +596,50 @@ void CgKgrModel::ScoreRows(const BatchGraph& batch, int64_t begin,
 void CgKgrModel::ScoreChunk(std::span<const int64_t> users,
                             std::span<const int64_t> items, Rng* rng,
                             std::span<float> out) {
+  MutexLock lock(&score_mu_);
+  const int64_t num_lanes = std::max<int64_t>(1, score_lanes());
+  if (lanes_ == nullptr || lanes_->pool.num_threads() != num_lanes) {
+    lanes_.reset();  // joins the old lanes before the new ones start
+    lanes_ = std::make_unique<ScoreLanes>(num_lanes);
+  }
+  ScoreLanes& lanes = *lanes_;
   const int64_t rows = static_cast<int64_t>(users.size());
-  const int64_t passes = std::max<int64_t>(1, config_.inference_samples);
+  const int64_t passes = config_.inference_samples;
   const float inv_passes = 1.0f / static_cast<float>(passes);
-  // 1. Sample on this thread, pass by pass: the draws from `rng` never
-  //    depend on how the forwards are scheduled.
   const std::vector<int64_t> chunk_users(users.begin(), users.end());
   const std::vector<int64_t> chunk_items(items.begin(), items.end());
   std::vector<BatchGraph> samples(static_cast<size_t>(passes));
   std::vector<std::vector<float>> pass_scores(
       static_cast<size_t>(passes), std::vector<float>(users.size()));
-  for (BatchGraph& sample : samples) {
-    sample = SampleBatch(chunk_users, chunk_items, rng);
-  }
-  // 2. Score fixed row slices of every pass on the score lanes. Each kernel
-  //    is per-row (docs/kernels.md), so a slice yields the bits the whole
-  //    chunk would. Each lane takes one run of consecutive slices and one
-  //    scratch for all of them. The lanes live for this chunk only: idle
-  //    workers kept between calls would each pin a malloc arena holding
-  //    their last slices' memory.
-  ThreadPool pool(score_lanes(), "score");
+  // 1. Draw pass 0 on this thread. Every pass is drawn from `rng` in pass
+  //    order by one thread, so the draws never depend on the scheduling.
+  samples[0] = SampleBatch(chunk_users, chunk_items, rng);
+  DrawnPasses drawn(1);
+  // 2. Every lane claims (pass, slice) tasks one at a time, in pass-major
+  //    order, and scores each with its own scratch. Lane 0 first draws
+  //    passes 1..P-1 while the others score pass 0. Each kernel is per-row
+  //    (docs/kernels.md), so a slice yields the bits the whole chunk would.
   const int64_t slices = (rows + kSliceRows - 1) / kSliceRows;
   const int64_t tasks = passes * slices;
-  const int64_t tasks_per_lane =
-      (tasks + pool.num_threads() - 1) / pool.num_threads();
-  pool.ParallelFor(0, tasks, tasks_per_lane, [&](int64_t first, int64_t last) {
-    ScoreScratch scratch;
-    for (int64_t task = first; task < last; ++task) {
-      const size_t pass = static_cast<size_t>(task / slices);
+  std::atomic<int64_t> next_task{0};
+  lanes.pool.ParallelFor(0, num_lanes, 1, [&](int64_t lane, int64_t) {
+    if (lane == 0) {
+      for (int64_t pass = 1; pass < passes; ++pass) {
+        samples[static_cast<size_t>(pass)] =
+            SampleBatch(chunk_users, chunk_items, rng);
+        drawn.Publish(pass + 1);
+      }
+    }
+    ScoreScratch* scratch = &lanes.scratch[static_cast<size_t>(lane)];
+    for (int64_t task = next_task.fetch_add(1); task < tasks;
+         task = next_task.fetch_add(1)) {
+      const int64_t pass = task / slices;
+      drawn.WaitUntilDrawn(pass);
       const int64_t slice_begin = task % slices * kSliceRows;
       const int64_t slice_end = std::min(rows, slice_begin + kSliceRows);
-      ScoreRows(samples[pass], slice_begin, slice_end, &scratch,
-                pass_scores[pass].data() + slice_begin);
+      ScoreRows(samples[static_cast<size_t>(pass)], slice_begin, slice_end,
+                scratch,
+                pass_scores[static_cast<size_t>(pass)].data() + slice_begin);
     }
   });
   // 3. Average the passes in pass order.

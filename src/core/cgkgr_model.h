@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/macros.h"
+#include "common/mutex.h"
 #include "core/cgkgr_config.h"
 #include "graph/sampler.h"
 #include "models/recommender.h"
@@ -33,6 +35,7 @@ namespace core {
 class CgKgrModel : public models::RecommenderModel {
  public:
   explicit CgKgrModel(CgKgrConfig config, std::string name = "CG-KGR");
+  ~CgKgrModel() override;
 
   std::string name() const override { return name_; }
 
@@ -48,13 +51,20 @@ class CgKgrModel : public models::RecommenderModel {
                                                 uint64_t seed);
 
  protected:
+  /// Returns InvalidArgument when inference_samples < 1 or a switched-on
+  /// stage samples fewer than one neighbor (user_sample_size and
+  /// item_sample_size with interactive summarization, kg_sample_size with
+  /// depth >= 1); a switched-off stage accepts any value.
   Status Build(const data::Dataset& dataset, uint64_t seed) override;
   autograd::Variable BatchLoss(const models::TrainBatch& batch,
                                Rng* rng) override;
-  /// Samples every inference pass of the chunk on the calling thread, then
-  /// runs the scoring forward (ScoreRows) over fixed 64-row slices on a
-  /// pool of score_lanes() lanes. Scores are bit-identical to Forward's at
-  /// any lane count; see docs/parallel_training.md ("Parallel inference").
+  /// Runs the scoring forward (ScoreRows) over fixed 64-row slices of every
+  /// inference pass on the model's score lanes. The calling thread draws
+  /// pass 0, the lanes start on it while one lane draws the later passes in
+  /// order, and slices are claimed one at a time. Scores are bit-identical
+  /// to Forward's at any lane count; see docs/parallel_training.md
+  /// ("Parallel inference"). Calls from several threads take turns, one
+  /// chunk at a time.
   void ScoreChunk(std::span<const int64_t> users,
                   std::span<const int64_t> items, Rng* rng,
                   std::span<float> out) override;
@@ -78,8 +88,11 @@ class CgKgrModel : public models::RecommenderModel {
   autograd::Variable Forward(const BatchGraph& batch,
                              std::vector<float>* capture_hop1_attention);
 
-  /// Buffers of one scoring task, reused across the slices it scores.
+  /// Buffers of one score lane, reused across the slices it scores.
   struct ScoreScratch;
+
+  /// A pool of score_lanes() lanes and one ScoreScratch per lane.
+  struct ScoreLanes;
 
   /// The scoring forward: Forward's scores of rows [begin, end) of `batch`,
   /// bit for bit, into `out`. Row r owns entry r of users/items and the
@@ -137,6 +150,12 @@ class CgKgrModel : public models::RecommenderModel {
   std::unique_ptr<nn::Dense> agg_user_;
   std::unique_ptr<nn::Dense> agg_item_;
   std::vector<std::unique_ptr<nn::Dense>> agg_kg_;  // one per hop, [0]=hop 1
+
+  /// Held by ScoreChunk for a whole chunk.
+  Mutex score_mu_;
+  /// Created by the first ScoreChunk and kept for the model's life; rebuilt
+  /// when score_lanes() changes (after Prepare or another Fit).
+  std::unique_ptr<ScoreLanes> lanes_ CGKGR_GUARDED_BY(score_mu_);
 };
 
 }  // namespace core

@@ -651,6 +651,39 @@ KernelRun KernelRelationMatMul(int64_t iters, uint64_t seed) {
   return run;
 }
 
+KernelRun KernelKgAttentionScore(int64_t iters, uint64_t seed) {
+  // One head of the scoring forward's guided knowledge attention at movie's
+  // hop-2 shape: a 64-row slice's 256 parents with K = 4 children each,
+  // d = 16, the children's relations drawn from 12 of 25 relation slots.
+  const int64_t parents = 256;
+  const int64_t k = 4;
+  const int64_t d = 16;
+  const int64_t slots = 25;
+  tensor::Tensor guided = RandomTensor({parents, d}, seed);
+  tensor::Tensor children = RandomTensor({parents * k, d}, seed + 1);
+  tensor::Tensor matrices = RandomTensor({slots, d, d}, seed + 2);
+  Rng rng(seed + 3);
+  std::vector<int64_t> relations(static_cast<size_t>(parents * k));
+  for (auto& r : relations) r = static_cast<int64_t>(rng.UniformInt(12));
+  tensor::Tensor products({k, d});
+  tensor::Tensor logits({parents * k});
+  tensor::Tensor weights({parents * k});
+  tensor::Tensor pooled({parents, d});
+  KernelRun run;
+  run.items_per_iter = parents * k;
+  for (int64_t it = -1; it < iters; ++it) {
+    tensor::GroupedRelationRowDot(parents, k, d, slots, guided.data(),
+                                  relations.data(), matrices.data(),
+                                  children.data(), products.data(),
+                                  logits.data());
+    tensor::SegmentSoftmax(parents, k, logits.data(), weights.data());
+    tensor::SegmentWeightedSum(parents, k, d, children.data(),
+                               weights.data(), pooled.data());
+    if (it >= 0) run.checksum += static_cast<double>(pooled.data()[0]);
+  }
+  return run;
+}
+
 KernelRun KernelNodeFlowSampling(int64_t iters, uint64_t seed) {
   Rng build_rng(seed);
   std::vector<graph::Triplet> triplets;
@@ -821,6 +854,7 @@ constexpr KernelEntry kKernels[] = {
     {"segment_softmax", &KernelSegmentSoftmax},
     {"gather_fwd_bwd", &KernelGatherFwdBwd},
     {"relation_matmul", &KernelRelationMatMul},
+    {"kg_attention_score", &KernelKgAttentionScore},
     {"node_flow_sampling", &KernelNodeFlowSampling},
     {"segment_attention", &KernelSegmentAttention},
 };

@@ -136,6 +136,136 @@ inline void CheckRelation(int64_t rel, int64_t num_relations) {
                   static_cast<long long>(num_relations));
 }
 
+// out0 = x * m0 and out1 = x * m1 for one row of 16: RelationRow's bits for
+// each (a zero seed, then x_kk * m_kk,j kk-ascending), with the broadcast of
+// x[kk] shared by the two products and both rows in eight registers.
+inline void RelationRowPair16(const float* __restrict x,
+                              const float* __restrict m0,
+                              const float* __restrict m1,
+                              float* __restrict out0,
+                              float* __restrict out1) {
+  V4f a0 = {}, a1 = {}, a2 = {}, a3 = {};
+  V4f b0 = {}, b1 = {}, b2 = {}, b3 = {};
+  for (int64_t kk = 0; kk < 16; ++kk) {
+    const V4f x_kk = BroadcastV4f(x[kk]);
+    const float* __restrict m0_row = m0 + kk * 16;
+    const float* __restrict m1_row = m1 + kk * 16;
+    a0 += x_kk * LoadV4f(m0_row);
+    a1 += x_kk * LoadV4f(m0_row + 4);
+    a2 += x_kk * LoadV4f(m0_row + 8);
+    a3 += x_kk * LoadV4f(m0_row + 12);
+    b0 += x_kk * LoadV4f(m1_row);
+    b1 += x_kk * LoadV4f(m1_row + 4);
+    b2 += x_kk * LoadV4f(m1_row + 8);
+    b3 += x_kk * LoadV4f(m1_row + 12);
+  }
+  StoreV4f(out0, a0);
+  StoreV4f(out0 + 4, a1);
+  StoreV4f(out0 + 8, a2);
+  StoreV4f(out0 + 12, a3);
+  StoreV4f(out1, b0);
+  StoreV4f(out1 + 4, b1);
+  StoreV4f(out1 + 8, b2);
+  StoreV4f(out1 + 12, b3);
+}
+
+// Transposes the 4 x 4 block held in r0..r3 in place: afterwards r_j holds
+// column j, so lane l of r_j is element j of input row l.
+inline void Transpose4x4(V4f& r0, V4f& r1, V4f& r2, V4f& r3) {
+  const V4f t0 = __builtin_shufflevector(r0, r1, 0, 4, 1, 5);
+  const V4f t1 = __builtin_shufflevector(r2, r3, 0, 4, 1, 5);
+  const V4f t2 = __builtin_shufflevector(r0, r1, 2, 6, 3, 7);
+  const V4f t3 = __builtin_shufflevector(r2, r3, 2, 6, 3, 7);
+  r0 = __builtin_shufflevector(t0, t1, 0, 1, 4, 5);
+  r1 = __builtin_shufflevector(t0, t1, 2, 3, 6, 7);
+  r2 = __builtin_shufflevector(t2, t3, 0, 1, 4, 5);
+  r3 = __builtin_shufflevector(t2, t3, 2, 3, 6, 7);
+}
+
+// Four length-16 dot products at once: lane l is Dot(16, a[l], b[l]), a
+// zero seed and then a[l][kk] * b[l][kk] added kk-ascending, which is Dot's
+// serial sum. 4 x 4 transposes of the rows feed the lanes.
+inline V4f Dot4x16(const float* const (&a)[4], const float* const (&b)[4]) {
+  V4f acc = {};
+  for (int64_t kk = 0; kk < 16; kk += 4) {
+    V4f a0 = LoadV4f(a[0] + kk);
+    V4f a1 = LoadV4f(a[1] + kk);
+    V4f a2 = LoadV4f(a[2] + kk);
+    V4f a3 = LoadV4f(a[3] + kk);
+    V4f b0 = LoadV4f(b[0] + kk);
+    V4f b1 = LoadV4f(b[1] + kk);
+    V4f b2 = LoadV4f(b[2] + kk);
+    V4f b3 = LoadV4f(b[3] + kk);
+    Transpose4x4(a0, a1, a2, a3);
+    Transpose4x4(b0, b1, b2, b3);
+    acc += a0 * b0;
+    acc += a1 * b1;
+    acc += a2 * b2;
+    acc += a3 * b3;
+  }
+  return acc;
+}
+
+// Index of the first child of the group whose relation is child i's.
+inline int64_t FirstSibling(const int64_t* __restrict rel_g, int64_t i) {
+  for (int64_t j = 0; j < i; ++j) {
+    if (rel_g[j] == rel_g[i]) return j;
+  }
+  return i;
+}
+
+// GroupedRelationRowDot at d == 16: the distinct relations' products two
+// per kk sweep, then the children's logits four at a time. An odd last
+// product and the group % 4 last children take RelationRow and Dot.
+void GroupedRelationRowDot16(int64_t groups, int64_t group,
+                             int64_t num_relations, const float* __restrict x,
+                             const int64_t* __restrict rel,
+                             const float* __restrict matrices,
+                             const float* __restrict y,
+                             float* __restrict scratch,
+                             float* __restrict out) {
+  for (int64_t g = 0; g < groups; ++g) {
+    const float* __restrict x_g = x + g * 16;
+    const int64_t* __restrict rel_g = rel + g * group;
+    // Slot i of scratch holds the product of child i when i is the first
+    // child with its relation.
+    int64_t pending = -1;
+    for (int64_t i = 0; i < group; ++i) {
+      CheckRelation(rel_g[i], num_relations);
+      if (FirstSibling(rel_g, i) != i) continue;
+      if (pending < 0) {
+        pending = i;
+        continue;
+      }
+      RelationRowPair16(x_g, matrices + rel_g[pending] * 256,
+                        matrices + rel_g[i] * 256, scratch + pending * 16,
+                        scratch + i * 16);
+      pending = -1;
+    }
+    if (pending >= 0) {
+      RelationRow(16, x_g, matrices + rel_g[pending] * 256,
+                  scratch + pending * 16);
+    }
+    const float* __restrict y_g = y + g * group * 16;
+    float* __restrict out_g = out + g * group;
+    int64_t i = 0;
+    for (; i + 4 <= group; i += 4) {
+      const float* const products[4] = {
+          scratch + FirstSibling(rel_g, i) * 16,
+          scratch + FirstSibling(rel_g, i + 1) * 16,
+          scratch + FirstSibling(rel_g, i + 2) * 16,
+          scratch + FirstSibling(rel_g, i + 3) * 16};
+      const float* const children[4] = {y_g + i * 16, y_g + (i + 1) * 16,
+                                        y_g + (i + 2) * 16,
+                                        y_g + (i + 3) * 16};
+      StoreV4f(out_g + i, Dot4x16(products, children));
+    }
+    for (; i < group; ++i) {
+      out_g[i] = Dot(16, scratch + FirstSibling(rel_g, i) * 16, y_g + i * 16);
+    }
+  }
+}
+
 }  // namespace
 
 void RelationMatMul(int64_t n, int64_t d, int64_t num_relations,
@@ -153,19 +283,18 @@ void GroupedRelationRowDot(int64_t groups, int64_t group, int64_t d,
                            const float* __restrict matrices,
                            const float* __restrict y,
                            float* __restrict scratch, float* __restrict out) {
+  if (d == 16) {
+    GroupedRelationRowDot16(groups, group, num_relations, x, rel, matrices, y,
+                            scratch, out);
+    return;
+  }
   for (int64_t g = 0; g < groups; ++g) {
     const float* __restrict x_g = x + g * d;
     const int64_t* __restrict rel_g = rel + g * group;
     for (int64_t i = 0; i < group; ++i) {
       CheckRelation(rel_g[i], num_relations);
       // Row i reuses the product of the first sibling with its relation.
-      int64_t first = i;
-      for (int64_t j = 0; j < i; ++j) {
-        if (rel_g[j] == rel_g[i]) {
-          first = j;
-          break;
-        }
-      }
+      const int64_t first = FirstSibling(rel_g, i);
       float* __restrict product = scratch + first * d;
       if (first == i) {
         RelationRow(d, x_g, matrices + rel_g[i] * d * d, product);
@@ -173,6 +302,27 @@ void GroupedRelationRowDot(int64_t groups, int64_t group, int64_t d,
       const int64_t c = g * group + i;
       out[c] = Dot(d, product, y + c * d);
     }
+  }
+}
+
+void SegmentRowDot(int64_t n, int64_t segment, int64_t d,
+                   const float* __restrict centers,
+                   const float* __restrict neighbors, float* __restrict out) {
+  const int64_t children = n * segment;
+  int64_t c = 0;
+  if (d == 16) {
+    for (; c + 4 <= children; c += 4) {
+      const float* const center_rows[4] = {
+          centers + c / segment * 16, centers + (c + 1) / segment * 16,
+          centers + (c + 2) / segment * 16, centers + (c + 3) / segment * 16};
+      const float* const neighbor_rows[4] = {
+          neighbors + c * 16, neighbors + (c + 1) * 16,
+          neighbors + (c + 2) * 16, neighbors + (c + 3) * 16};
+      StoreV4f(out + c, Dot4x16(center_rows, neighbor_rows));
+    }
+  }
+  for (; c < children; ++c) {
+    out[c] = Dot(d, centers + c / segment * d, neighbors + c * d);
   }
 }
 
@@ -309,6 +459,28 @@ void SegmentWeightedSum(int64_t segments, int64_t segment, int64_t d,
                         const float* __restrict values,
                         const float* __restrict weights,
                         float* __restrict out) {
+  if (d == 16) {
+    // The output row stays in four registers over the segment: a zero
+    // seed, then w_i * v_i added in i order, Axpy's bits per element.
+    for (int64_t s = 0; s < segments; ++s) {
+      V4f acc0 = {}, acc1 = {}, acc2 = {}, acc3 = {};
+      for (int64_t i = 0; i < segment; ++i) {
+        const int64_t row = s * segment + i;
+        const V4f w = BroadcastV4f(weights[row]);
+        const float* __restrict v = values + row * 16;
+        acc0 += w * LoadV4f(v);
+        acc1 += w * LoadV4f(v + 4);
+        acc2 += w * LoadV4f(v + 8);
+        acc3 += w * LoadV4f(v + 12);
+      }
+      float* __restrict o = out + s * 16;
+      StoreV4f(o, acc0);
+      StoreV4f(o + 4, acc1);
+      StoreV4f(o + 8, acc2);
+      StoreV4f(o + 12, acc3);
+    }
+    return;
+  }
   for (int64_t s = 0; s < segments; ++s) {
     float* __restrict o = out + s * d;
     for (int64_t j = 0; j < d; ++j) o[j] = 0.0f;

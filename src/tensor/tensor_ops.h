@@ -45,7 +45,9 @@ void RelationMatMul(int64_t n, int64_t d, int64_t num_relations,
 /// on x with each row repeated `group` times, then RowDot with y. Within a
 /// group each distinct relation is multiplied once; finding an earlier
 /// sibling with the same relation costs at most group - 1 id compares per
-/// row. `scratch` holds group * d floats.
+/// row. `scratch` holds group * d floats. d == 16 forms two products per
+/// kk sweep and four children's dot products at once, one per vector lane;
+/// each element keeps its association.
 void GroupedRelationRowDot(int64_t groups, int64_t group, int64_t d,
                            int64_t num_relations, const float* __restrict x,
                            const int64_t* __restrict rel,
@@ -105,13 +107,21 @@ void AddRowVector(int64_t rows, int64_t cols, const float* __restrict v,
 void RowDot(int64_t rows, int64_t cols, const float* __restrict a,
             const float* __restrict b, float* __restrict out);
 
+/// out[s * segment + i] = Dot(d, centers row s, neighbors row
+/// (s * segment + i)) for n centers (n, d) and their segment consecutive
+/// neighbors each. d == 16 computes four dot products at once, one per
+/// vector lane, each with Dot's serial association.
+void SegmentRowDot(int64_t n, int64_t segment, int64_t d,
+                   const float* __restrict centers,
+                   const float* __restrict neighbors, float* __restrict out);
+
 /// Scales row r of `x` (rows x cols) by s[r], writing into out.
 void RowScale(int64_t rows, int64_t cols, const float* __restrict x,
               const float* __restrict s, float* __restrict out);
 
 /// Attention pooling: out row s (segments, d) = sum over i < segment of
 /// weights[s * segment + i] * values row (s * segment + i), accumulated from
-/// zero in i order.
+/// zero in i order. d == 16 keeps the output row in registers.
 void SegmentWeightedSum(int64_t segments, int64_t segment, int64_t d,
                         const float* __restrict values,
                         const float* __restrict weights,

@@ -8,8 +8,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -162,6 +164,53 @@ TEST(CgKgrModelTest, EmptyDatasetRejected) {
   data::Dataset empty;
   CgKgrModel model(SmallModelConfig());
   EXPECT_FALSE(model.Fit(empty, QuickTrain(1)).ok());
+}
+
+TEST(CgKgrModelTest, InvalidSamplingSettingsRejectedBeforeTraining) {
+  const data::Dataset d = TestDataset();
+  const std::vector<std::pair<std::string, std::function<void(CgKgrConfig*)>>>
+      invalid = {
+          {"inference_samples 0", [](CgKgrConfig* c) { c->inference_samples = 0; }},
+          {"inference_samples -2", [](CgKgrConfig* c) { c->inference_samples = -2; }},
+          {"user_sample_size 0", [](CgKgrConfig* c) { c->user_sample_size = 0; }},
+          {"item_sample_size 0", [](CgKgrConfig* c) { c->item_sample_size = 0; }},
+          {"kg_sample_size 0", [](CgKgrConfig* c) { c->kg_sample_size = 0; }},
+          {"kg_sample_size -1 at depth 2", [](CgKgrConfig* c) {
+             c->kg_sample_size = -1;
+             c->depth = 2;
+           }}};
+  for (const auto& [name, edit] : invalid) {
+    CgKgrConfig config = SmallModelConfig();
+    edit(&config);
+    CgKgrModel fitted(config);
+    const Status fit = fitted.Fit(d, QuickTrain(1));
+    EXPECT_EQ(fit.code(), StatusCode::kInvalidArgument) << name << ": " << fit.ToString();
+    CgKgrModel prepared(config);
+    const Status prepare = prepared.Prepare(d, 3);
+    EXPECT_EQ(prepare.code(), StatusCode::kInvalidArgument)
+        << name << ": " << prepare.ToString();
+  }
+  // A switched-off stage never samples, so its size is not checked.
+  const std::vector<std::pair<std::string, std::function<void(CgKgrConfig*)>>>
+      switched_off = {
+          {"w/o UI, sizes 0 and -3", [](CgKgrConfig* c) {
+             c->use_interactive_summarization = false;
+             c->user_sample_size = 0;
+             c->item_sample_size = -3;
+           }},
+          {"depth 0, kg size 0", [](CgKgrConfig* c) {
+             c->depth = 0;
+             c->kg_sample_size = 0;
+           }}};
+  for (const auto& [name, edit] : switched_off) {
+    CgKgrConfig config = SmallModelConfig();
+    edit(&config);
+    CgKgrModel model(config);
+    ASSERT_TRUE(model.Fit(d, QuickTrain(1)).ok()) << name;
+    std::vector<float> scores;
+    model.ScorePairs({0, 1}, {2, 3}, &scores);
+    EXPECT_TRUE(std::isfinite(scores[0])) << name;
+  }
 }
 
 // --- variants: every encoder x aggregator combination runs ---
@@ -473,6 +522,114 @@ TEST(ScoreGoldenTest, MovieShapeMatchesForwardGolden) {
   for (const int64_t lanes : {1, 2, 4}) {
     EXPECT_EQ(SnapshotGolden(config, d, lanes), kMovieShapeFingerprint)
         << lanes << " lanes";
+  }
+}
+
+TEST(ScoreGoldenTest, MovieWidthWithKernelTailsMatchesForwardGolden) {
+  // d = 16 with sample sizes that are not multiples of 4 (6/3/5) and an odd
+  // head count: the four-lane dot products and the paired relation
+  // products run their tails inside the model. Pinned on the parent of the
+  // four-lane kernels, where ScoreChunk ran the row kernels and Dot.
+  constexpr uint64_t kTailFingerprint = 15693426345378337981ULL;
+  CgKgrConfig config = SmallModelConfig();
+  config.embedding_dim = 16;
+  config.user_sample_size = 6;
+  config.item_sample_size = 3;
+  config.kg_sample_size = 5;
+  config.depth = 2;
+  config.num_heads = 3;
+  config.inference_samples = 3;
+  const data::Dataset d = TestDataset();
+  for (const int64_t lanes : {1, 2, 4}) {
+    EXPECT_EQ(SnapshotGolden(config, d, lanes), kTailFingerprint)
+        << lanes << " lanes";
+  }
+}
+
+// --- score lanes that live with the model ---
+
+/// 600 pairs over the test matrix: a 1,024-pair chunk would hide a ragged
+/// last slice, so this one call ends in a 24-row slice.
+std::vector<float> ScoreSomePairs(models::RecommenderModel* model,
+                                  const data::Dataset& d) {
+  std::vector<int64_t> users;
+  std::vector<int64_t> items;
+  for (int64_t p = 0; p < 600; ++p) {
+    users.push_back(p % d.num_users);
+    items.push_back((p * 11 + p / d.num_users) % d.num_items);
+  }
+  std::vector<float> scores;
+  model->ScorePairs(users, items, &scores);
+  return scores;
+}
+
+void ExpectSameBits(const std::vector<float>& actual,
+                    const std::vector<float>& expected,
+                    const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  int64_t mismatches = 0;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    if (std::memcmp(&actual[i], &expected[i], sizeof(float)) != 0) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << what;
+}
+
+TEST(ScoreLanesTest, LanesFollowEveryRefitAndPrepare) {
+  // One model's lanes are rebuilt whenever score_lanes() changes; each
+  // state must score like a fresh model in the same state.
+  const data::Dataset d = TestDataset();
+  CgKgrConfig config = SmallModelConfig();
+  config.embedding_dim = 16;
+  config.kg_sample_size = 5;
+  auto fresh_fit = [&](int64_t lanes) {
+    models::TrainOptions options = QuickTrain(2);
+    options.num_threads = lanes;
+    CgKgrModel model(config);
+    EXPECT_TRUE(model.Fit(d, options).ok());
+    return ScoreSomePairs(&model, d);
+  };
+  CgKgrModel reused(config);
+  models::TrainOptions options = QuickTrain(2);
+  options.num_threads = 2;
+  ASSERT_TRUE(reused.Fit(d, options).ok());
+  ExpectSameBits(ScoreSomePairs(&reused, d), fresh_fit(2), "fit at 2 lanes");
+  options.num_threads = 4;
+  ASSERT_TRUE(reused.Fit(d, options).ok());
+  ExpectSameBits(ScoreSomePairs(&reused, d), fresh_fit(4), "refit at 4 lanes");
+  ASSERT_TRUE(reused.Prepare(d, 5).ok());
+  CgKgrModel prepared(config);
+  ASSERT_TRUE(prepared.Prepare(d, 5).ok());
+  ExpectSameBits(ScoreSomePairs(&reused, d), ScoreSomePairs(&prepared, d),
+                 "prepared");
+}
+
+TEST(ScoreLanesTest, ConcurrentCallersGetTheSerialBits) {
+  const data::Dataset d = TestDataset();
+  CgKgrConfig config = SmallModelConfig();
+  config.inference_samples = 3;
+  models::TrainOptions options = QuickTrain(2);
+  options.num_threads = 1;
+  CgKgrModel serial(config);
+  ASSERT_TRUE(serial.Fit(d, options).ok());
+  const std::vector<float> expected = ScoreSomePairs(&serial, d);
+  options.num_threads = 2;
+  CgKgrModel shared(config);
+  ASSERT_TRUE(shared.Fit(d, options).ok());
+  std::vector<std::vector<float>> results(3);
+  std::vector<std::thread> callers;
+  for (std::vector<float>& result : results) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 3; ++round) {
+        result = ScoreSomePairs(&shared, d);
+        if (result != expected) return;
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (size_t t = 0; t < results.size(); ++t) {
+    ExpectSameBits(results[t], expected, "caller " + std::to_string(t));
   }
 }
 

@@ -437,6 +437,13 @@ bool SameFloat(float actual, float expected) {
   return std::memcmp(&actual, &expected, sizeof(float)) == 0;
 }
 
+/// Bitwise equality, except that a NaN matches any NaN: where two NaNs
+/// meet in one sum IEEE 754 leaves the surviving payload open.
+bool SameOrBothNan(float actual, float expected) {
+  return (std::isnan(actual) && std::isnan(expected)) ||
+         SameFloat(actual, expected);
+}
+
 TEST(KernelTest, GemmN16BitIdenticalToReferenceWithSpecialValues) {
   // n == 16 keeps each C row in registers, and a transposed B is copied
   // row-major before the same row kernels run; every element must still be
@@ -523,10 +530,6 @@ TEST(KernelTest, RelationMatMulGradKernelsBitIdenticalToPerRowLoops) {
   // Where two NaNs meet in one sum, IEEE 754 leaves open whose payload
   // survives, and the compiler may order a commutative add either way, so
   // a NaN matches any NaN; every other value, -0 included, matches bitwise.
-  auto same = [](float actual, float expected) {
-    return (std::isnan(actual) && std::isnan(expected)) ||
-           SameFloat(actual, expected);
-  };
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   enum class Pattern { kAllEqual, kAllDistinct, kRandom };
@@ -585,14 +588,14 @@ TEST(KernelTest, RelationMatMulGradKernelsBitIdenticalToPerRowLoops) {
           RelationMatMulGradM(n, d, num_relations, x.data(), g.data(),
                               rel.data(), mg.data());
           for (int64_t i = 0; i < n * d; ++i) {
-            ASSERT_TRUE(same(xg[i], xg_expected[i]))
+            ASSERT_TRUE(SameOrBothNan(xg[i], xg_expected[i]))
                 << "dX d=" << d << " n=" << n
                 << " pattern=" << static_cast<int>(pattern)
                 << " specials=" << specials << " i=" << i << ": " << xg[i]
                 << " vs " << xg_expected[i];
           }
           for (int64_t i = 0; i < num_relations * d * d; ++i) {
-            ASSERT_TRUE(same(mg[i], mg_expected[i]))
+            ASSERT_TRUE(SameOrBothNan(mg[i], mg_expected[i]))
                 << "dM d=" << d << " n=" << n
                 << " pattern=" << static_cast<int>(pattern)
                 << " specials=" << specials << " i=" << i << ": " << mg[i]
@@ -670,6 +673,165 @@ TEST(KernelTest, SegmentWeightedSumAccumulatesFromZeroInOrder) {
           expected += weights[row] * values[row * d + j];
         }
         ASSERT_EQ(out[s * d + j], expected) << "d=" << d << " s=" << s;
+      }
+    }
+  }
+}
+
+/// Writes NaN, +inf, -inf and -0 into `t` at spread positions, plus a row
+/// of `width` zeros at `zero_row` whose products with negative entries are
+/// -0, so a sum seeded from its first term instead of +0 shows.
+void PlantSpecials(Tensor* t, int64_t size, int64_t width, int64_t zero_row,
+                   uint64_t seed) {
+  if (size == 0) return;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(), inf,
+                            -inf, -0.0f};
+  Rng rng(seed);
+  for (int64_t k = 0; k < 4; ++k) {
+    (*t)[static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(size)))] =
+        specials[k];
+  }
+  for (int64_t j = 0; j < width && zero_row * width + j < size; ++j) {
+    (*t)[zero_row * width + j] = 0.0f;
+  }
+}
+
+TEST(KernelTest, GroupedRelationRowDotD16BitIdenticalWithTailsAndSpecials) {
+  // d = 16 pairs the distinct relations' products and dots four children
+  // at once; odd distinct counts and group % 4 children take the tails.
+  const int64_t d = 16;
+  const int64_t groups = 6;
+  const int64_t num_relations = 9;
+  enum class Pattern { kAllEqual, kAllDistinct, kRandom };
+  for (const int64_t group : {1, 2, 3, 4, 5, 7, 8}) {
+    for (const Pattern pattern :
+         {Pattern::kAllEqual, Pattern::kAllDistinct, Pattern::kRandom}) {
+      for (const bool specials : {false, true}) {
+        const int64_t rows = groups * group;
+        const uint64_t seed = static_cast<uint64_t>(
+            group * 100 + static_cast<int64_t>(pattern) * 10 + specials);
+        std::vector<int64_t> rel(static_cast<size_t>(rows));
+        Rng rng(seed);
+        for (int64_t c = 0; c < rows; ++c) {
+          int64_t q = 3;
+          if (pattern == Pattern::kAllDistinct) q = c % group;
+          if (pattern == Pattern::kRandom) {
+            q = static_cast<int64_t>(
+                rng.UniformInt(static_cast<uint64_t>(num_relations)));
+          }
+          rel[static_cast<size_t>(c)] = q;
+        }
+        Tensor x = RandomFilled(groups * d, seed + 1);
+        Tensor y = RandomFilled(rows * d, seed + 2);
+        Tensor matrices = RandomFilled(num_relations * d * d, seed + 3);
+        if (specials) {
+          PlantSpecials(&x, groups * d, d, 5, seed + 4);
+          PlantSpecials(&y, rows * d, d, rows - 1, seed + 5);
+          PlantSpecials(&matrices, num_relations * d * d, d, 2, seed + 6);
+          // Group 1: x is all +0 and its children all negative, so every
+          // dot term is -0 and only a +0 seed yields +0.
+          for (int64_t j = 0; j < d; ++j) x[d + j] = 0.0f;
+          for (int64_t i = group * d; i < 2 * group * d; ++i) {
+            y[i] = -std::abs(y[i]) - 0.5f;
+          }
+        }
+        Tensor repeated({rows * d});
+        for (int64_t c = 0; c < rows; ++c) {
+          std::copy_n(x.data() + c / group * d, d, repeated.data() + c * d);
+        }
+        Tensor transformed({rows * d});
+        RelationMatMul(rows, d, num_relations, repeated.data(), rel.data(),
+                       matrices.data(), transformed.data());
+        Tensor expected({rows});
+        RowDot(rows, d, transformed.data(), y.data(), expected.data());
+
+        Tensor scratch({group * d});
+        Tensor out({rows});
+        GroupedRelationRowDot(groups, group, d, num_relations, x.data(),
+                              rel.data(), matrices.data(), y.data(),
+                              scratch.data(), out.data());
+        for (int64_t c = 0; c < rows; ++c) {
+          ASSERT_TRUE(SameOrBothNan(out[c], expected[c]))
+              << "group=" << group << " pattern=" << static_cast<int>(pattern)
+              << " specials=" << specials << " row=" << c << ": " << out[c]
+              << " vs " << expected[c];
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTest, SegmentRowDotMatchesDotPerChild) {
+  for (const int64_t d : {1, 3, 8, 16, 17, 33}) {
+    for (const int64_t segment : {1, 3, 4, 8, 12}) {
+      for (const bool specials : {false, true}) {
+        const int64_t n = 5;
+        const int64_t children = n * segment;
+        const uint64_t seed =
+            static_cast<uint64_t>(d * 1000 + segment * 10 + specials);
+        Tensor centers = RandomFilled(n * d, seed);
+        Tensor neighbors = RandomFilled(children * d, seed + 1);
+        if (specials) {
+          PlantSpecials(&centers, n * d, d, 4, seed + 2);
+          PlantSpecials(&neighbors, children * d, d, children - 1, seed + 3);
+          // Center 1 is all +0 against negative neighbors: -0 terms only.
+          for (int64_t j = 0; j < d; ++j) centers[d + j] = 0.0f;
+          for (int64_t i = segment * d; i < 2 * segment * d; ++i) {
+            neighbors[i] = -std::abs(neighbors[i]) - 0.5f;
+          }
+        }
+        Tensor out({children});
+        SegmentRowDot(n, segment, d, centers.data(), neighbors.data(),
+                      out.data());
+        for (int64_t c = 0; c < children; ++c) {
+          const float expected = Dot(d, centers.data() + c / segment * d,
+                                     neighbors.data() + c * d);
+          ASSERT_TRUE(SameOrBothNan(out[c], expected))
+              << "d=" << d << " segment=" << segment
+              << " specials=" << specials << " child=" << c << ": " << out[c]
+              << " vs " << expected;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTest, SegmentWeightedSumD16MatchesPerRowAxpy) {
+  // The reference is the per-row Axpy loop SegmentWeightedSum ran at every
+  // width before d = 16 kept the output row in registers.
+  const int64_t d = 16;
+  const int64_t segments = 5;
+  for (const int64_t segment : {0, 1, 3, 4, 8, 16}) {
+    for (const bool specials : {false, true}) {
+      const int64_t rows = segments * segment;
+      const uint64_t seed = static_cast<uint64_t>(segment * 10 + specials);
+      Tensor values = RandomFilled(rows * d, seed);
+      Tensor weights = RandomFilled(rows, seed + 1);
+      if (specials && segment > 0) {
+        PlantSpecials(&values, rows * d, d, rows - 1, seed + 2);
+        PlantSpecials(&weights, rows, 1, rows - 1, seed + 3);
+        // Segment 1: zero weights on negative rows, -0 terms only.
+        for (int64_t i = segment; i < 2 * segment; ++i) weights[i] = 0.0f;
+        for (int64_t i = segment * d; i < 2 * segment * d; ++i) {
+          values[i] = -std::abs(values[i]) - 0.5f;
+        }
+      }
+      Tensor expected({segments * d});
+      for (int64_t s = 0; s < segments; ++s) {
+        for (int64_t i = 0; i < segment; ++i) {
+          const int64_t row = s * segment + i;
+          Axpy(d, weights[row], values.data() + row * d,
+               expected.data() + s * d);
+        }
+      }
+      Tensor out = RandomFilled(segments * d, seed + 4);  // overwritten
+      SegmentWeightedSum(segments, segment, d, values.data(), weights.data(),
+                         out.data());
+      for (int64_t i = 0; i < segments * d; ++i) {
+        ASSERT_TRUE(SameOrBothNan(out[i], expected[i]))
+            << "segment=" << segment << " specials=" << specials
+            << " i=" << i << ": " << out[i] << " vs " << expected[i];
       }
     }
   }
